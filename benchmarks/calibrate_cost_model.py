@@ -1,14 +1,18 @@
-"""Cost-model calibration: predicted vs measured, gated (ISSUE 8).
+"""Cost-model calibration: predicted vs measured, gated.
 
-``repro.check.cost_model`` claims to *reconstruct* the simulated
-executor's steady-state iteration — time, DMA traffic, and peak memory
-— from the compiled schedules alone, without running a session.  This
-script is the CI gate on that claim: it sweeps the same workloads the
-benchmark suite measures, runs each one **both ways** (static
-prediction via :func:`~repro.check.cost_model.predict_compiled_mode`,
-live measurement via ``engine.session(mode)``), and fails if any
-prediction drifts beyond ``--tolerance`` (default 10%, the acceptance
-bound; in practice the reconstruction is exact).
+``repro.check.cost_model`` predicts a compiled mode's steady-state
+iteration — time, DMA traffic, and peak memory — by running one
+throwaway simulated replay iteration of it.  This script sweeps the
+same workloads the benchmark suite measures and runs each one **both
+ways** (prediction via
+:func:`~repro.check.cost_model.predict_compiled_mode`, live measurement
+via ``engine.session(mode)``), failing if any prediction drifts beyond
+``--tolerance`` (default 10%).  Since the prediction and the session
+share one executor, that pred-vs-meas comparison only catches a
+prediction that stops replaying the session's plan; it cannot catch an
+executor regression, which would move both sides together.  What
+guards against that drift is the independent check below against the
+committed ``BENCH_inference.json`` byte columns.
 
 Workloads (mirroring the trajectory benchmarks):
 
@@ -16,7 +20,11 @@ Workloads (mirroring the trajectory benchmarks):
   its five configs (the ablation ladder + the eager-offload full
   stack), train mode;
 * **inference-shaped** — ``bench_inference``'s nine-net zoo at batch 8
-  under the full SuperNeurons config, train *and* infer modes.
+  under the full SuperNeurons config, train *and* infer modes;
+* **regime-shaped** — ResNet-50 at batch 8 under SuperNeurons capped at
+  256 MiB of GPU memory (the tensor cache must evict), and AlexNet at
+  batch 8 under liveness+UTP offloading to a GPU-Direct RDMA pool
+  (slower copies than local DRAM), train mode.
 
 Gated quantities, per target:
 
@@ -26,8 +34,7 @@ Gated quantities, per target:
 * for the inference-shaped zoo, predicted peaks are *additionally*
   checked against the committed
   ``benchmarks/baselines/BENCH_inference.json``
-  ``train_peak_bytes``/``infer_peak_bytes`` — so a prediction can't
-  drift in lockstep with an executor regression and still pass.
+  ``train_peak_bytes``/``infer_peak_bytes``.
 
 The baseline's ``*_ms_per_iter`` fields are host wall-clock (runner
 speed), **not** modeled time — they are deliberately not compared
@@ -52,6 +59,7 @@ from pathlib import Path
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
 from repro.check.cost_model import predict_compiled_mode
+from repro.device.fabric import REMOTE_RDMA
 from repro.zoo import NETWORK_BUILDERS, alexnet
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -75,6 +83,16 @@ ZOO_NETS = [
     ("lenet", 8), ("alexnet", 8), ("vgg16", 8), ("vgg19", 8),
     ("resnet50", 8), ("resnet101", 8), ("resnet152", 8),
     ("inception_v4", 8), ("densenet", 8),
+]
+
+#: beyond the default device: (target, net, batch, config), train mode
+REGIME_TARGETS = [
+    ("resnet50/train@superneurons-256M", "resnet50", 8,
+     lambda: RuntimeConfig.superneurons(concrete=False,
+                                        gpu_capacity=256 * MiB)),
+    ("alexnet/train@liveness+utp-rdma", "alexnet", 8,
+     lambda: RuntimeConfig.liveness_offload(
+         concrete=False, external_pools=(REMOTE_RDMA,))),
 ]
 
 
@@ -159,6 +177,10 @@ def run(tolerance: float, batch: int) -> list:
             records.append(calibrate_target(
                 engine, mode, f"{name}/{mode}@superneurons", tolerance,
                 baseline_peak=baseline.get(name, {}).get(mode)))
+
+    for target, name, rbatch, make_config in REGIME_TARGETS:
+        engine = Engine(NETWORK_BUILDERS[name](batch=rbatch), make_config())
+        records.append(calibrate_target(engine, "train", target, tolerance))
 
     return records
 

@@ -12,18 +12,17 @@ Four pillars (see DESIGN.md "Static checks" and "Concurrency model"):
   analysis over one instrumented execution's synchronization log
   (RACE001-RACE005), catching races and potential deadlocks that
   bit-identity tests can miss by lucky scheduling;
-* the **cost model** replays the same symbolic schedule against the
-  device latency model, predicting iteration time, DMA traffic, and
-  peak memory, and flagging performance pathologies (PERF001-PERF006)
-  — with a policy advisor that recommends the cheapest ablation rung
-  fitting a memory budget.
+* the **cost model** runs one throwaway simulated replay iteration of
+  a compiled mode with the device op log on, predicting iteration
+  time, DMA traffic, and peak memory, and flagging performance
+  pathologies (PERF001-PERF006) — with a policy advisor that
+  recommends the cheapest ablation rung fitting a memory budget.
 
 All report structured :class:`~repro.check.diagnostics.Diagnostic`
 findings with provenance and serialize to one JSON artifact schema CI
 uploads (``diagnostics.SCHEMA_VERSION``).  Entry points: ``repro check
 plan`` / ``check lint`` / ``check race`` / ``check cost`` on the CLI;
-``Engine(..., verify=True)`` / ``RuntimeConfig.verify_plans`` and
-``Engine(..., cost_report=True)`` / ``RuntimeConfig.cost_report`` at
+``Engine(..., verify=True)`` / ``RuntimeConfig.verify_plans`` at
 compile time; ``RuntimeConfig.trace_sync`` / ``REPRO_TRACE_SYNC=1`` to
 arm the synchronization trace (capacity via ``trace_sync_cap`` /
 ``REPRO_TRACE_SYNC_CAP``).
@@ -90,9 +89,6 @@ _EXPORTS: Dict[str, str] = {
     "cost_compiled_mode": "cost_model",
     "cost_engine": "cost_model",
     "predict_compiled_mode": "cost_model",
-    "request_fill": "cost_model",
-    "request_padding_rows": "cost_model",
-    "request_steps": "cost_model",
     "serving_fill_check": "cost_model",
     "Advice": "advisor",
     "advise": "advisor",

@@ -1,15 +1,14 @@
-"""Static policy advisor: rank the ablation ladder, recommend a rung.
+"""Policy advisor: rank the ablation ladder, recommend a rung.
 
 The paper's Alg. 2 makes its offload/recompute decisions *online*,
 per-layer, from measured costs.  With the cost model
-(:mod:`repro.check.cost_model`) those costs are available statically —
-so the whole decision can be made before a single iteration runs:
-predict every ablation rung's iteration time and peak memory for a net,
-drop the rungs whose peak exceeds the memory budget, and recommend the
-fastest rung that fits.  That is exactly the question the ROADMAP's
-heterogeneous-fleet item asks per device class ("which policy stack do
-I deploy on a 4 GiB card?"), answered in milliseconds by
-``check cost --budget N --advise``.
+(:mod:`repro.check.cost_model`) those costs come from one throwaway
+simulated replay iteration per compiled mode — so the whole decision
+can be made before any real session runs: predict every ablation
+rung's iteration time and peak memory for a net, drop the rungs whose
+peak exceeds the memory budget, and recommend the fastest rung that
+fits.  That answers "which policy stack do I deploy on a 4 GiB card?"
+per device class with ``check cost --budget N --advise``.
 
 The ladder defaults to the canonical ablation sequence the benchmarks
 and ``check plan --all`` sweep; each rung maps to the

@@ -1,23 +1,20 @@
-"""Static performance & memory cost model: predict a compiled plan's
-iteration time, DMA traffic, and peaks *before* it runs.
+"""Performance & memory cost model: predict a compiled plan's
+iteration time, DMA traffic, and peaks *before* a session runs it.
 
 The plan verifier (:mod:`repro.check.plan_verifier`) proves a compiled
 schedule memory-*safe*; nothing proves it *fast*.  This module closes
-that gap: it symbolically replays a
-:class:`~repro.core.engine.CompiledMode`'s schedule — the same
-:func:`~repro.check.plan_verifier.extract_trace` flattening the
-verifier uses — against the simulated device latency model
-(:class:`~repro.device.model.DeviceModel` through a private
-:class:`~repro.device.timeline.Timeline` + DMA cost function), timing
-every kernel, allocator call, copy, stall, and reclamation exactly as
-:class:`~repro.core.runtime.Executor` replays them.  Because the
-executor's substrate is itself deterministic, the prediction is not an
-estimate of the *simulated* run — it is a reconstruction: the CI
-calibration gate (``benchmarks/calibrate_cost_model.py``) holds it
-within ±10% of measured replay iterations and the committed
-``BENCH_inference.json`` peaks.
+that gap.  A prediction is one throwaway simulated replay iteration of
+a :class:`~repro.core.engine.CompiledMode` — the same
+:class:`~repro.core.runtime.Executor` mechanics a session replays —
+with the executor's :class:`~repro.device.timeline.Timeline` op log
+switched on.  The :class:`~repro.core.runtime.IterationResult` gives
+the totals; the op log (every kernel, copy, compute stall and offload
+release, with stream and start/end) gives the per-event records the
+rules read.  Because the simulated executor is deterministic, the
+prediction *is* the steady-state iteration a session would run, in
+every regime the executor supports (capacity caps, external pools).
 
-On top of the timed replay it emits PERF-rule diagnostics through the
+On top of that record it emits PERF-rule diagnostics through the
 shared :class:`~repro.check.diagnostics.CheckReport` machinery:
 
 * **PERF001 late-prefetch-stall** — a prefetch lands after its consumer
@@ -39,32 +36,25 @@ shared :class:`~repro.check.diagnostics.CheckReport` machinery:
 * **PERF006 serving-padding-waste** — a compiled batch shape whose
   expected lone-request fill is below threshold: the serving path would
   pad most of every batch (see :func:`serving_fill_check`).
-
-Known approximations (all conservative, all irrelevant to the clean
-calibration workloads): pool fragmentation is modeled as a free-bytes
-check (a first-fit hole miss can fall back to the zero-workspace
-algorithm slightly earlier than predicted); the cache-mode
-pressure-eviction order is insertion order, not the live LRU; per-step
-lock state is tracked only as the current step's pinned operand set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.diagnostics import CheckReport, Diagnostic
-from repro.check.plan_verifier import extract_trace
-from repro.core.config import RecomputeStrategy, RuntimeConfig
-from repro.core.plan import plans_by_key
-from repro.device.dma import CopyDirection, DMAEngine
-from repro.device.timeline import Stream, Timeline
-from repro.graph.route import Phase
-from repro.layers.data import DataLayer
+from repro.core.config import RuntimeConfig
+from repro.core.runtime import Executor
+from repro.device.dma import CopyDirection
+from repro.device.timeline import (
+    BW, FETCH, FW, OFFLOAD, PREFETCH, RECOMPUTE, RELEASE, STALL, Stream,
+    split_label)
 
 MiB = 1024 * 1024
 
-_UNALLOC, _GPU, _HOST, _FREED = "unallocated", "gpu", "host", "freed"
+#: StallEvent.op of the stalls the iteration barrier absorbs
+BARRIER = "<barrier>"
 
 
 # --------------------------------------------------------------------------- #
@@ -97,12 +87,13 @@ class CostThresholds:
 
 @dataclass
 class StepCost:
-    """One route step's predicted timing."""
+    """One kernel-submitting route step's predicted timing (seconds
+    from iteration start)."""
 
     index: int
     op: str                        # "conv1:f"
     phase: str
-    start: float                   # compute-stream kernel start (s)
+    start: float                   # compute-stream kernel start
     end: float                     # kernel end
     duration: float                # kernel duration
     stall: float                   # compute stall absorbed before it
@@ -115,7 +106,7 @@ class StallEvent:
     step: int
     op: str
     tensor: str
-    kind: str                      # "prefetch" | "fetch" | "reap" | "evict"
+    kind: str                      # the awaited copy's label kind
     seconds: float
     #: how long the copy's stream sat idle immediately before the copy
     #: started — idle >= stall means an earlier issue would have hidden it
@@ -124,18 +115,12 @@ class StallEvent:
 
 @dataclass
 class PrefetchRecord:
-    """One H2D prefetch: issue -> arrival -> consumption."""
+    """One H2D prefetch (a late one also shows up as a StallEvent)."""
 
     tensor: str
     nbytes: int
-    issue: float                   # compute clock when issued
     copy_start: float
     arrival: float
-    idle_gap: float                # H2D idle window before copy_start
-    consumer_step: Optional[int] = None
-    consumer_op: Optional[str] = None
-    slack: float = 0.0             # consumer_start - arrival (<0 = late)
-    stall: float = 0.0
 
 
 @dataclass
@@ -148,7 +133,7 @@ class OffloadRecord:
     copy_end: float
     round_trip_seconds: float      # D2H + H2D copy time for nbytes
     release_time: Optional[float] = None   # GPU bytes actually freed
-    refetch_time: Optional[float] = None   # GPU bytes re-occupied
+    refetch_time: Optional[float] = None   # copy back to the GPU starts
 
     def absent_window(self, end_of_iteration: float) -> float:
         """Seconds the GPU bytes were actually free."""
@@ -196,7 +181,6 @@ class CostPrediction:
     extra_forwards: int
     recompute_seconds: float
     capacity: Optional[int]
-    oom_events: int
     pressure_evictions: int
     workspace_fallbacks: int
     steps: List[StepCost] = field(default_factory=list)
@@ -231,7 +215,6 @@ class CostPrediction:
             "peak_host_bytes": self.peak_host_bytes,
             "extra_forwards": self.extra_forwards,
             "recompute_ms": self.recompute_seconds * 1e3,
-            "oom_events": self.oom_events,
             "pressure_evictions": self.pressure_evictions,
             "workspace_fallbacks": self.workspace_fallbacks,
             "prefetches": len(self.prefetches),
@@ -249,551 +232,131 @@ class CostPrediction:
 
 
 # --------------------------------------------------------------------------- #
-# the timed symbolic replay
+# the prediction: one replayed iteration, read back from its op log
 # --------------------------------------------------------------------------- #
 
-class _CostSim:
-    """Replays one compiled mode's schedule against the latency model.
-
-    Mirrors ``Executor._replay_steps`` operation for operation: reap,
-    resident-stalls, on-demand grads, recompute ensure, workspace
-    scratch + fallback, kernel submit, scratch free, offload/free/
-    discard reclamation, settled prefetches, the iteration barrier, and
-    the end-of-iteration sweep — each alloc/free paying the allocator's
-    compute-stream tick and each copy riding the real three-stream
-    :class:`Timeline` arithmetic.
-    """
-
-    def __init__(self, net, compiled, config: RuntimeConfig,
-                 target: Optional[str] = None):
-        self.net = net
-        self.compiled = compiled
-        self.config = config
-        self.model = config.device
-        self.route = compiled.route
-        self.recompute_plan = compiled.recompute_plan
-        self.trace = extract_trace(net, compiled, config, target=target)
-        plans = plans_by_key(compiled.gathered)
-        off_plan = plans.get("offload")
-        self.reap_before_step = bool(off_plan is not None
-                                     and off_plan.reap_before_step)
-        self.cache_mode = bool(config.use_offload and config.use_tensor_cache)
-        ws_plan = plans.get("workspace")
-        self.ws_picks = dict(ws_plan.workspace_picks) \
-            if ws_plan is not None else {}
-
-        self.timeline = Timeline(record_ops=False)
-        self.dma = DMAEngine(self.timeline, self.model,
-                             pinned=config.pinned_host)
-        if config.use_pool_allocator:
-            self.alloc_latency = self.model.pool_alloc_latency
-            self.free_latency = self.model.pool_free_latency
-        else:
-            self.alloc_latency = self.model.cuda_malloc_latency
-            self.free_latency = self.model.cuda_free_latency
-        self.capacity = config.capacity
-        self.param_bytes = self.trace.param_bytes
-
-        # --- the ledger (mirrors allocator + SessionTensorState) ---
-        self.placements: Dict[int, str] = {}
-        self.gpu_alloc: Dict[int, int] = {}     # tid -> nbytes on GPU
-        self.host_copies: Dict[int, int] = {}   # tid -> nbytes stashed
-        self.arrival: Dict[int, Tuple[object, PrefetchRecord]] = {}
-        self.pending: List[Tuple[int, int, object, OffloadRecord]] = []
-        self.used = self.param_bytes            # allocator.used_bytes
-        self.peak = self.param_bytes
-        self.host_bytes = 0
-        self.host_peak = 0
-        self.last_compute_event = None
-        self._step_pinned: Set[int] = set()
-        self._materialized: Set[int] = set()
-
-        # --- counters + records ---
-        self.alloc_calls = 0
-        self.alloc_overhead = 0.0
-        self.compute_seconds = 0.0
-        self.stall_seconds = 0.0
-        self.recompute_seconds = 0.0
-        self.extra_forwards = 0
-        self.oom_events = 0
-        self.pressure_evictions = 0
-        self.workspace_fallbacks = 0
-        self.step_costs: List[StepCost] = []
-        self.prefetch_records: List[PrefetchRecord] = []
-        self.offload_records: Dict[int, OffloadRecord] = {}
-        self.offload_history: List[OffloadRecord] = []
-        self.recompute_records: List[RecomputeRecord] = []
-        self.stall_events: List[StallEvent] = []
-        self._cur_step_index = 0
-        self._cur_step_op = "<start>"
-
-    # ------------------------------------------------------- ledger helpers
-    def _place(self, tid: int) -> str:
-        return self.placements.get(tid, _UNALLOC)
-
-    def _is_live(self, tid: int) -> bool:
-        return self._place(tid) in (_GPU, _HOST)
-
-    def _tick_alloc(self) -> None:
-        self.alloc_calls += 1
-        self.alloc_overhead += self.alloc_latency
-        self.timeline.tick_compute(self.alloc_latency)
-
-    def _tick_free(self) -> None:
-        self.alloc_calls += 1
-        self.alloc_overhead += self.free_latency
-        self.timeline.tick_compute(self.free_latency)
-
-    def _grow(self, nbytes: int) -> None:
-        self.used += nbytes
-        if self.used > self.peak:
-            self.peak = self.used
-
-    def _note_stall(self, seconds: float, idle_gap: float,
-                    tensor: str, kind: str) -> None:
-        if seconds <= 0:
-            return
-        self.stall_seconds += seconds
-        self.stall_events.append(StallEvent(
-            step=self._cur_step_index, op=self._cur_step_op,
-            tensor=tensor, kind=kind, seconds=seconds,
-            copy_idle_gap=idle_gap))
-
-    def _copy(self, nbytes: int, direction: CopyDirection, label: str,
-              after=None) -> Tuple[object, float, float]:
-        """Submit one copy; returns (event, stream_idle_gap, duration)."""
-        stream = Stream.H2D if direction is CopyDirection.H2D else Stream.D2H
-        clock_before = self.timeline.now(stream)
-        dur = self.dma.copy_time(nbytes, direction)
-        ev = self.dma.copy_async(nbytes, direction, label=label, after=after)
-        idle_gap = (ev.time - dur) - clock_before
-        return ev, idle_gap, dur
-
-    # ----------------------------------------------------- alloc + pressure
-    def _alloc_bytes(self, tid: int, nbytes: int, name: str) -> None:
-        """Mirror ``_gpu_alloc_tensor``'s slow path + ledger update."""
-        if tid in self.gpu_alloc:
-            return
-        if self.capacity is not None and self.used + nbytes > self.capacity:
-            self._alloc_under_pressure(nbytes)
-        self._tick_alloc()
-        self._grow(nbytes)
-        self.gpu_alloc[tid] = nbytes
-        self.placements[tid] = _GPU
-
-    def _alloc_under_pressure(self, nbytes: int) -> None:
-        """Reap, then force-reap, then (cache mode) evict — the
-        executor's ``on_memory_pressure`` cascade, approximately."""
-        self._reap()
-        while self.capacity is not None \
-                and self.used + nbytes > self.capacity and self.pending:
-            self._force_reap_one()
-        if self.capacity is None or self.used + nbytes <= self.capacity:
-            return
-        if self.cache_mode:
-            victims = [t for t in self.gpu_alloc
-                       if t not in self._step_pinned
-                       and t not in self.arrival
-                       and all(p[0] != t for p in self.pending)]
-            for vid in victims:
-                if self.used + nbytes <= self.capacity:
-                    return
-                self._evict_to_host(vid)
-        if self.used + nbytes > self.capacity:
-            # the real executor would raise OutOfMemoryError; keep
-            # replaying so the peak (and PERF005) stay informative
-            self.oom_events += 1
-
-    def _evict_to_host(self, tid: int) -> None:
-        """Synchronous LRU-victim offload (stalls compute)."""
-        nbytes = self.gpu_alloc[tid]
-        if tid not in self.host_copies:
-            self.host_copies[tid] = nbytes
-            self.host_bytes += nbytes
-            self.host_peak = max(self.host_peak, self.host_bytes)
-        ev, idle_gap, _dur = self._copy(nbytes, CopyDirection.D2H,
-                                        "evict")
-        stall = self.timeline.sync(Stream.COMPUTE, ev)
-        self._note_stall(stall, idle_gap, f"tid:{tid}", "evict")
-        self._tick_free()
-        self.used -= self.gpu_alloc.pop(tid)
-        self.placements[tid] = _HOST
-        self.pressure_evictions += 1
-
-    def _free_gpu_only(self, tid: int) -> None:
-        nbytes = self.gpu_alloc.pop(tid, None)
-        if nbytes is not None:
-            self._tick_free()
-            self.used -= nbytes
-        self.placements[tid] = _HOST if tid in self.host_copies else _FREED
-
-    def _discard_tid(self, tid: int) -> None:
-        """Mirror ``Executor._discard``: free everywhere."""
-        nbytes = self.gpu_alloc.pop(tid, None)
-        if nbytes is not None:
-            self._tick_free()
-            self.used -= nbytes
-        hosted = self.host_copies.pop(tid, None)
-        if hosted is not None:
-            self.host_bytes -= hosted
-        self.arrival.pop(tid, None)
-        self.placements[tid] = _FREED
-
-    # --------------------------------------------------------------- movement
-    def _reap(self) -> None:
-        if not self.pending:
-            return
-        now = self.timeline.now(Stream.COMPUTE)
-        remaining = []
-        for item in self.pending:
-            tid, nbytes, ev, rec = item
-            if ev.time <= now:
-                self._complete_offload(tid, rec, at=now)
-            else:
-                remaining.append(item)
-        self.pending = remaining
-
-    def _force_reap_one(self) -> None:
-        tid, nbytes, ev, rec = self.pending.pop(0)
-        stall = self.timeline.sync(Stream.COMPUTE, ev)
-        self._note_stall(stall, getattr(rec, "_idle_gap", 0.0),
-                         rec.tensor, "reap")
-        self._complete_offload(tid, rec,
-                               at=self.timeline.now(Stream.COMPUTE))
-
-    def _complete_offload(self, tid: int, rec: OffloadRecord,
-                          at: float) -> None:
-        nbytes = self.gpu_alloc.pop(tid, None)
-        if nbytes is not None:
-            self._tick_free()
-            self.used -= nbytes
-        if rec.release_time is None:
-            rec.release_time = at
-        self.placements[tid] = _HOST
-
-    def _offload(self, tid: int, nbytes: int, name: str) -> None:
-        """Mirror ``_offload_async`` (eager D2H after the kernel)."""
-        if tid not in self.host_copies:
-            self.host_copies[tid] = nbytes
-            self.host_bytes += nbytes
-            self.host_peak = max(self.host_peak, self.host_bytes)
-        after = [self.last_compute_event] if self.last_compute_event else None
-        ev, idle_gap, dur = self._copy(nbytes, CopyDirection.D2H,
-                                       f"offload:{name}", after=after)
-        rec = OffloadRecord(tensor=name, nbytes=nbytes,
-                            copy_start=ev.time - dur, copy_end=ev.time,
-                            round_trip_seconds=dur + self.dma.copy_time(
-                                nbytes, CopyDirection.H2D))
-        rec._idle_gap = idle_gap  # for reap-stall attribution
-        self.offload_records[tid] = rec
-        self.offload_history.append(rec)
-        if tid in self.gpu_alloc:
-            self.pending.append((tid, nbytes, ev, rec))
-
-    def _prefetch(self, tid: int, nbytes: int, name: str) -> bool:
-        """Mirror ``_prefetch_async`` (best-effort: False if no room)."""
-        if self._place(tid) != _HOST or tid in self.arrival:
-            return tid in self.arrival
-        if self.capacity is not None and self.used + nbytes > self.capacity:
-            return False
-        self._tick_alloc()
-        self._grow(nbytes)
-        self.gpu_alloc[tid] = nbytes
-        issue = self.timeline.now(Stream.COMPUTE)
-        ev, idle_gap, dur = self._copy(nbytes, CopyDirection.H2D,
-                                       f"prefetch:{name}")
-        rec = PrefetchRecord(tensor=name, nbytes=nbytes, issue=issue,
-                             copy_start=ev.time - dur, arrival=ev.time,
-                             idle_gap=idle_gap)
-        self.prefetch_records.append(rec)
-        self.arrival[tid] = (ev, rec)
-        off = self.offload_records.get(tid)
-        if off is not None and off.refetch_time is None:
-            off.refetch_time = issue  # GPU bytes re-occupied here
-        self.placements[tid] = _GPU
-        return True
-
-    def _make_resident(self, t) -> None:
-        """Mirror ``_make_gpu_resident``: block until usable on GPU."""
-        tid = t.tensor_id
-        p = self._place(tid)
-        if p == _GPU:
-            entry = self.arrival.pop(tid, None)
-            if entry is not None:
-                ev, rec = entry
-                consumer_start = self.timeline.now(Stream.COMPUTE)
-                stall = self.timeline.sync(Stream.COMPUTE, ev)
-                rec.consumer_step = self._cur_step_index
-                rec.consumer_op = self._cur_step_op
-                rec.slack = consumer_start - ev.time
-                rec.stall = stall
-                self._note_stall(stall, rec.idle_gap, rec.tensor,
-                                 "prefetch")
-            return
-        if p == _HOST:
-            self._alloc_bytes(tid, t.nbytes, t.name)
-            ev, idle_gap, dur = self._copy(t.nbytes, CopyDirection.H2D,
-                                           f"fetch:{t.name}")
-            stall = self.timeline.sync(Stream.COMPUTE, ev)
-            self._note_stall(stall, idle_gap, t.name, "fetch")
-            off = self.offload_records.get(tid)
-            if off is not None and off.refetch_time is None:
-                off.refetch_time = ev.time - dur
-            self.placements[tid] = _GPU
-            return
-        # UNALLOCATED/FREED: the executor would raise for a data read;
-        # the verifier owns that finding (PLAN001) — model the forced
-        # materialization and keep timing
-        self._alloc_bytes(tid, t.nbytes, t.name)
-
-    # --------------------------------------------------------------- recompute
-    def _ensure(self, missing) -> None:
-        """Mirror ``RecomputePolicy.ensure`` (demand-driven rebuild)."""
-        plan = self.recompute_plan
-        for t in missing:
-            if self._is_live(t.tensor_id):
-                continue
-            producer = self.net.layers[t.producer]
-            seg = plan.segment_of.get(producer.layer_id) \
-                if plan is not None else None
-            if seg is None or not producer.is_recomputable:
-                self._alloc_bytes(t.tensor_id, t.nbytes, t.name)
-                continue
-            rec = RecomputeRecord(
-                anchor=seg.anchor.name, strategy=seg.strategy.value,
-                trigger_step=self._cur_step_index,
-                trigger_op=self._cur_step_op)
-            if seg.strategy is RecomputeStrategy.SPEED_CENTRIC:
-                self._materialize_segment(seg, rec)
-            else:
-                self._chain_to(seg, producer, {t.tensor_id}, rec)
-            if rec.members:
-                self.recompute_records.append(rec)
-
-    def _materialize_segment(self, seg, rec: RecomputeRecord) -> None:
-        if id(seg) in self._materialized:
-            return
-        self._materialized.add(id(seg))
-        for member in seg.members:
-            if member.output is not None \
-                    and self._is_live(member.output.tensor_id):
-                continue
-            self._run_forward(member, rec)
-        self._release_anchor(seg)
-
-    def _chain_to(self, seg, target_layer, targets: Set[int],
-                  rec: RecomputeRecord) -> None:
-        chain = []
-        for m in seg.members:
-            chain.append(m)
-            if m.layer_id == target_layer.layer_id:
-                break
-        produced = []
-        for i, member in enumerate(chain):
-            if member.output is not None \
-                    and self._is_live(member.output.tensor_id):
-                continue
-            self._run_forward(member, rec)
-            produced.append(member.output)
-            still_needed = {
-                inp.tensor_id
-                for later in chain[i + 1:]
-                for inp in (p.output for p in later.prev)
-            }
-            for t in list(produced):
-                if t.tensor_id in targets or t.tensor_id in still_needed:
-                    continue
-                if t.tensor_id == member.output.tensor_id:
-                    continue
-                self._discard_tid(t.tensor_id)
-                produced.remove(t)
-        # survivors are transient; the recorded step_discards sweep them
-        self._release_anchor(seg)
-
-    def _release_anchor(self, seg) -> None:
-        out = seg.anchor.output
-        if out is None:
-            return
-        tid = out.tensor_id
-        if self._place(tid) == _GPU and tid in self.host_copies:
-            self._free_gpu_only(tid)
-
-    def _run_forward(self, layer, rec: RecomputeRecord) -> None:
-        for p in layer.prev:
-            if not self._is_live(p.output.tensor_id):
-                self._ensure([p.output])
-            self._make_resident(p.output)
-        out = layer.output
-        self._alloc_bytes(out.tensor_id, out.nbytes, out.name)
-        dur = layer.sim_time_forward(self.model)
-        self.timeline.submit(Stream.COMPUTE, dur, f"recompute:{layer.name}")
-        self.compute_seconds += dur
-        self.recompute_seconds += dur
-        self.extra_forwards += 1
-        rec.members += 1
-        rec.rebuild_seconds += dur
-        rec.recovered_bytes += out.nbytes
-        rec.transfer_seconds += (
-            self.dma.copy_time(out.nbytes, CopyDirection.D2H)
-            + self.dma.copy_time(out.nbytes, CopyDirection.H2D))
-
-    # ------------------------------------------------------------------- steps
-    def run(self) -> CostPrediction:
-        for step, ss in zip(self.route.steps, self.trace.steps):
-            self._cur_step_index = step.index
-            self._cur_step_op = ss.op
-            stall0 = self.stall_seconds
-            if self.reap_before_step:
-                self._reap()
-            is_fw = step.phase is Phase.FORWARD
-            layer = step.layer
-            is_data = isinstance(layer, DataLayer)
-            kernel_start = kernel_end = self.timeline.now(Stream.COMPUTE)
-            duration = 0.0
-            if is_fw or not is_data:
-                duration = self._compute_section(step, is_fw)
-                kernel_end = self.timeline.now(Stream.COMPUTE)
-                kernel_start = kernel_end - duration
-            # after-step reclamation, in the executor's stack order:
-            # offload registration, then liveness frees, then recompute
-            # conditional discards
-            for st, _rel in ss.offloads:
-                self._offload(st.tensor_id, st.nbytes, st.name)
-            for st in ss.frees:
-                if any(p[0] == st.tensor_id for p in self.pending):
-                    continue  # copy in flight: the reap retires it
-                if self._place(st.tensor_id) != _FREED:
-                    self._discard_tid(st.tensor_id)
-            for st in ss.discards:
-                if self._is_live(st.tensor_id):
-                    self._discard_tid(st.tensor_id)
-            # settled phase: prefetch-ahead with the runtime's guards
-            for st, anchor in ss.prefetches:
-                if self._place(st.tensor_id) == _HOST:
-                    self._prefetch(st.tensor_id, st.nbytes, st.name)
-                elif anchor is not None \
-                        and not self._is_live(st.tensor_id) \
-                        and self._place(anchor.tensor_id) == _HOST:
-                    self._prefetch(anchor.tensor_id, anchor.nbytes,
-                                   anchor.name)
-            self.step_costs.append(StepCost(
-                index=step.index, op=ss.op, phase=ss.phase,
-                start=kernel_start, end=kernel_end, duration=duration,
-                stall=self.stall_seconds - stall0))
-
-        # iteration barrier: drain copies, sync streams, sweep leftovers
-        self._cur_step_op = "<barrier>"
-        while self.pending:
-            self._force_reap_one()
-        self.timeline.sync_all()
-        self._end_of_iteration_cleanup()
-
-        return CostPrediction(
-            target=self.trace.target,
-            mode=self.compiled.mode,
-            sim_time=self.timeline.elapsed,
-            compute_seconds=self.compute_seconds,
-            stall_seconds=self.stall_seconds,
-            alloc_overhead_seconds=self.alloc_overhead,
-            alloc_calls=self.alloc_calls,
-            d2h_bytes=self.dma.stats.d2h_bytes,
-            h2d_bytes=self.dma.stats.h2d_bytes,
-            d2h_busy_seconds=self.timeline.busy_time(Stream.D2H),
-            h2d_busy_seconds=self.timeline.busy_time(Stream.H2D),
-            peak_gpu_bytes=self.peak,
-            activation_peak_bytes=self.peak - self.param_bytes,
-            param_bytes=self.param_bytes,
-            peak_host_bytes=self.host_peak,
-            extra_forwards=self.extra_forwards,
-            recompute_seconds=self.recompute_seconds,
-            capacity=self.capacity,
-            oom_events=self.oom_events,
-            pressure_evictions=self.pressure_evictions,
-            workspace_fallbacks=self.workspace_fallbacks,
-            steps=self.step_costs,
-            prefetches=self.prefetch_records,
-            offloads=self.offload_history,
-            recomputes=self.recompute_records,
-            stalls=self.stall_events,
+def _replay(net, compiled, config: RuntimeConfig,
+            target: Optional[str]) -> CostPrediction:
+    cfg = replace(config, concrete=False, trace=False,
+                  collect_traces=False, steady_state_replay=True)
+    with Executor(net, cfg, mode=compiled.mode, compiled=compiled) as ex:
+        timeline = ex.timeline
+        timeline.record_ops = True
+        t0 = timeline.elapsed   # after the parameter allocations
+        res = ex.run_iteration(0)
+        pred = CostPrediction(
+            target=target or f"{net.name}/{compiled.mode}",
+            mode=compiled.mode,
+            sim_time=res.sim_time,
+            compute_seconds=0.0,
+            stall_seconds=res.stall_seconds,
+            alloc_overhead_seconds=res.alloc_overhead,
+            alloc_calls=res.alloc_calls,
+            d2h_bytes=res.d2h_bytes,
+            h2d_bytes=res.h2d_bytes,
+            d2h_busy_seconds=timeline.busy_time(Stream.D2H),
+            h2d_busy_seconds=timeline.busy_time(Stream.H2D),
+            peak_gpu_bytes=res.peak_bytes,
+            activation_peak_bytes=res.activation_peak_bytes,
+            param_bytes=res.param_bytes,
+            peak_host_bytes=ex.fabric.peak_bytes(),
+            extra_forwards=res.extra_forwards,
+            recompute_seconds=0.0,
+            capacity=cfg.capacity,
+            pressure_evictions=res.cache_evictions,
+            workspace_fallbacks=ex.selector.fallbacks,
         )
+        _read_op_log(ex, t0, pred)
+    return pred
 
-    def _compute_section(self, step, is_fw: bool) -> float:
-        """Reads resident, grads allocated, workspace, kernel submit,
-        scratch free — returns the kernel duration."""
-        layer = step.layer
-        if is_fw:
-            reads = self.route.forward_reads(layer)
-        else:
-            reads = self.route.backward_reads(layer)
-            missing = [t for t in reads if not self._is_live(t.tensor_id)]
-            if missing:
-                self._ensure(missing)
-        self._step_pinned = {t.tensor_id for t in reads}
-        if layer.output is not None:
-            self._step_pinned.add(layer.output.tensor_id)
-        for t in reads:
-            self._make_resident(t)
-        if is_fw:
-            out = layer.output
-            self._alloc_bytes(out.tensor_id, out.nbytes, out.name)
-        else:
-            if layer.next and layer.grad_output is not None:
-                g = layer.grad_output
-                self._alloc_bytes(g.tensor_id, g.nbytes, g.name)
-            for p in layer.prev:
-                if isinstance(p, DataLayer) or p.grad_output is None:
-                    continue
-                g = p.grad_output
-                self._alloc_bytes(g.tensor_id, g.nbytes, g.name)
-            for g in layer.param_grads:
-                self._alloc_bytes(g.tensor_id, g.nbytes, g.name)
-        # workspace pick (conv steps): scratch + duration, with the
-        # fragmentation fallback modeled as a free-bytes check
-        pick = self.ws_picks.get(step.index)
-        scratch = 0
-        if pick is not None:
-            zero = layer.algorithms(self.model)[0]
-            if pick.phase == "forward":
-                dur_pick = layer.sim_time_forward(self.model, pick.algo)
-                dur_zero = layer.sim_time_forward(self.model, zero)
-            else:
-                dur_pick = layer.sim_time_backward(self.model, pick.algo)
-                dur_zero = layer.sim_time_backward(self.model, zero)
-            ws = pick.algo.workspace_bytes
-            duration = dur_pick
-            if ws > 0:
-                if self.capacity is not None \
-                        and self.used + ws > self.capacity:
-                    duration = dur_zero
-                    self.workspace_fallbacks += 1
-                else:
-                    self._tick_alloc()
-                    self._grow(ws)
-                    scratch = ws
-        elif is_fw:
-            duration = layer.sim_time_forward(self.model)
-        else:
-            duration = layer.sim_time_backward(self.model)
-        label = f"{'fw' if is_fw else 'bw'}:{layer.name}"
-        self.last_compute_event = self.timeline.submit(
-            Stream.COMPUTE, duration, label)
-        self.compute_seconds += duration
-        if scratch:
-            self._tick_free()
-            self.used -= scratch
-        self._step_pinned = set()
-        return duration
 
-    def _end_of_iteration_cleanup(self) -> None:
-        """Mirror ``_end_of_iteration_cleanup``'s static sweep."""
-        for l in self.net.layers:
-            for t in [l.output, l.grad_output] + list(l.param_grads):
-                if t is not None and t.tensor_id in self.gpu_alloc:
-                    self._discard_tid(t.tensor_id)
-        for l in self.net.layers:
-            t = l.output
-            if t is not None and t.tensor_id in self.host_copies:
-                self._discard_tid(t.tensor_id)
+def _read_op_log(ex, t0: float, pred: CostPrediction) -> None:
+    """Derive ``pred``'s steps, records and compute totals from the
+    replayed iteration's op log (times shifted to start at 0)."""
+    layers = {l.name: l for l in ex.net.layers}
+    outputs = {l.output.name: l.output.nbytes for l in ex.net.layers
+               if l.output is not None}
+    segment_of = ex.recompute_plan.segment_of
+    pool = ex.fabric.pools[0]   # first-fit: where an offload lands
+
+    def round_trip(nbytes: int) -> float:
+        return (ex.dma.copy_time(nbytes, CopyDirection.D2H, pool.d2h_scale)
+                + ex.dma.copy_time(nbytes, CopyDirection.H2D,
+                                   pool.h2d_scale))
+
+    # the route steps that submit a kernel, in op-log order (a data
+    # layer's backward step has none)
+    kernel_steps = iter([cs for cs in ex.iteration_plan.steps
+                         if cs.is_forward or not cs.is_data])
+    last_end = {s: t0 for s in Stream}    # per-stream end of the last op
+    idle_before: Dict[Tuple[str, float], float] = {}
+    offload_of: Dict[str, OffloadRecord] = {}
+    stalls: List[Tuple[str, str, float, float]] = []   # awaiting a step
+    chains: Dict[str, RecomputeRecord] = {}            # anchor -> chain
+
+    def flush(index: int, op: str) -> float:
+        stalled = 0.0
+        for tensor, kind, seconds, gap in stalls:
+            pred.stalls.append(StallEvent(index, op, tensor, kind, seconds,
+                                          gap))
+            stalled += seconds
+        stalls.clear()
+        for rc in chains.values():
+            rc.trigger_step, rc.trigger_op = index, op
+            pred.recomputes.append(rc)
+        chains.clear()
+        return stalled
+
+    for rec in ex.timeline.ops():
+        kind, name = split_label(rec.label)
+        start, end = rec.start - t0, rec.end - t0
+        if kind == STALL:
+            copy_kind, tensor = split_label(name)
+            stalls.append((tensor, copy_kind, end - start,
+                           idle_before.get((name, rec.end), 0.0)))
+        elif kind == RELEASE:
+            off = offload_of.get(name)
+            if off is not None and off.release_time is None:
+                off.release_time = start
+        elif kind == RECOMPUTE:
+            layer = layers[name]
+            seg = segment_of[layer.layer_id]
+            rc = chains.get(seg.anchor.name)
+            if rc is None:
+                rc = chains[seg.anchor.name] = RecomputeRecord(
+                    seg.anchor.name, seg.strategy.value, -1, "")
+            nbytes = layer.output.nbytes
+            rc.members += 1
+            rc.rebuild_seconds += end - start
+            rc.recovered_bytes += nbytes
+            rc.transfer_seconds += round_trip(nbytes)
+            pred.compute_seconds += end - start
+            pred.recompute_seconds += end - start
+        elif kind in (FW, BW):
+            cs = next(kernel_steps)
+            stalled = flush(cs.step.index, cs.trace_label)
+            pred.steps.append(StepCost(cs.step.index, cs.trace_label,
+                                       cs.phase_value, start, end,
+                                       end - start, stalled))
+            pred.compute_seconds += end - start
+        else:   # a copy
+            idle_before[(rec.label, rec.end)] = rec.start \
+                - last_end[rec.stream]
+            last_end[rec.stream] = rec.end
+            nbytes = outputs[name]
+            if kind == PREFETCH:
+                pred.prefetches.append(
+                    PrefetchRecord(name, nbytes, start, end))
+            elif kind == OFFLOAD:
+                offload_of[name] = OffloadRecord(
+                    name, nbytes, start, end, round_trip(nbytes))
+                pred.offloads.append(offload_of[name])
+            if kind in (PREFETCH, FETCH):
+                off = offload_of.get(name)
+                if off is not None and off.refetch_time is None:
+                    off.refetch_time = start
+    # what is left stalled the iteration barrier's drain
+    flush(ex.route.steps[-1].index, BARRIER)
 
 
 # --------------------------------------------------------------------------- #
@@ -810,15 +373,15 @@ def analyze_prediction(pred: CostPrediction,
     diags: List[Diagnostic] = []
     iter_time = pred.sim_time if pred.sim_time > 0 else 1e-12
 
-    for pr in pred.prefetches:
-        if pr.stall > th.late_stall_frac * iter_time:
+    for s in pred.stalls:
+        if s.kind == PREFETCH and s.seconds > th.late_stall_frac * iter_time:
             diags.append(Diagnostic(
                 rule="PERF001", severity="warning", target=target,
-                step=pr.consumer_step, op=pr.consumer_op, tensor=pr.tensor,
-                message=f"prefetch of {pr.tensor!r} lands "
-                        f"{-pr.slack * 1e3:.2f} ms after its consumer "
-                        f"starts — compute stalls {pr.stall * 1e3:.2f} ms "
-                        f"({pr.stall / iter_time:.0%} of the iteration)"))
+                step=s.step, op=s.op, tensor=s.tensor,
+                message=f"prefetch of {s.tensor!r} lands "
+                        f"{s.seconds * 1e3:.2f} ms after its consumer "
+                        f"starts — compute stalls {s.seconds * 1e3:.2f} ms "
+                        f"({s.seconds / iter_time:.0%} of the iteration)"))
 
     for off in pred.offloads:
         if off.nbytes < th.payback_min_frac * pred.peak_gpu_bytes:
@@ -870,27 +433,6 @@ def analyze_prediction(pred: CostPrediction,
     return diags
 
 
-def request_steps(batch: int, size: int) -> int:
-    """Engine steps a ``size``-row request costs on a compiled ``batch``
-    shape (the greedy-fill split: ``ceil(size / batch)``)."""
-    if batch < 1 or size < 1:
-        raise ValueError("request_steps needs batch >= 1 and size >= 1")
-    return -(-size // batch)
-
-
-def request_padding_rows(batch: int, size: int) -> int:
-    """Padded rows a lone ``size``-row request wastes on a compiled
-    ``batch`` shape — the per-request form of the PERF006 fill model,
-    reused online by the fleet router to score candidate engines."""
-    return request_steps(batch, size) * batch - size
-
-
-def request_fill(batch: int, size: int) -> float:
-    """Fill ratio of a lone ``size``-row request on a compiled ``batch``
-    shape (1.0 means zero padding waste)."""
-    return size / (request_steps(batch, size) * batch)
-
-
 def serving_fill_check(batch: int, max_request: int,
                        target: Optional[str] = None,
                        thresholds: Optional[CostThresholds] = None
@@ -926,13 +468,14 @@ def serving_fill_check(batch: int, max_request: int,
 
 def predict_compiled_mode(net, compiled, config: RuntimeConfig,
                           target: Optional[str] = None) -> CostPrediction:
-    """Timed symbolic replay of one compiled mode.
+    """Predict one compiled mode from one throwaway simulated replay
+    iteration of it.
 
     ``config`` must be the *effective* mode config
     (``RuntimeConfig.for_mode``) — the one whose policy stack produced
     ``compiled.gathered``, exactly as the plan verifier requires.
     """
-    return _CostSim(net, compiled, config, target=target).run()
+    return _replay(net, compiled, config, target)
 
 
 def cost_compiled_mode(net, compiled, config: RuntimeConfig,

@@ -65,8 +65,8 @@ RACE_RULES: Dict[str, str] = {
     "RACE005": "incomplete-trace",
 }
 
-#: Cost-model rules: performance pathologies predicted from the timed
-#: symbolic replay of a compiled schedule (see repro.check.cost_model).
+#: Cost-model rules: performance pathologies read off one simulated
+#: replay iteration of a compiled schedule (see repro.check.cost_model).
 PERF_RULES: Dict[str, str] = {
     "PERF001": "late-prefetch-stall",
     "PERF002": "offload-without-payback",

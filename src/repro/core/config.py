@@ -99,10 +99,6 @@ class RuntimeConfig:
     # REPRO_TRACE_LIMIT (else the module default); overflow stops
     # retaining spans and sets Tracer.truncated.
     trace_limit: Optional[int] = None
-    # build a static cost-model report (repro.check.cost_model) for
-    # every compiled mode and stash it on Engine.cost_reports — purely
-    # advisory (never raises), the runtime analogue of verify_plans
-    cost_report: bool = False
     # per-step StepTrace records (Fig. 10).  Long training runs can
     # switch them off so result objects hold O(1) memory per iteration.
     collect_traces: bool = True

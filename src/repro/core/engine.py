@@ -166,8 +166,7 @@ class Engine:
     """
 
     def __init__(self, net: Net, config: Optional[RuntimeConfig] = None,
-                 verify: Optional[bool] = None,
-                 cost_report: Optional[bool] = None):
+                 verify: Optional[bool] = None):
         self.net = net.build()
         # private copy: compiled plans are derived from the config, so
         # later caller-side mutation must not desync them from workers
@@ -177,13 +176,6 @@ class Engine:
         #: (None defers to config.verify_plans)
         self.verify_plans = self.config.verify_plans if verify is None \
             else verify
-        #: build an advisory cost-model report per compiled mode
-        #: (None defers to config.cost_report)
-        self.cost_report = self.config.cost_report if cost_report is None \
-            else cost_report
-        #: mode -> CheckReport from the static cost model, filled as
-        #: modes compile when cost reporting is armed
-        self.cost_reports: Dict[str, "object"] = {}
         #: shared base planning passes (the Alg. 1 topological order).
         #: At most 1, however many modes compile — the tests assert
         #: train+infer share one planning pass.
@@ -221,8 +213,6 @@ class Engine:
                 cm = self._compile_mode(mode)
                 if self.verify_plans:
                     self._verify_mode(mode, cm)
-                if self.cost_report:
-                    self._cost_mode(mode, cm)
                 trace_write(self, f"engine.compiled[{mode}]")
                 self._compiled[mode] = cm
                 self.mode_compile_count += 1
@@ -245,24 +235,6 @@ class Engine:
             self.net, cm, self.config.for_mode(mode), target=target))
         if not report.ok:
             raise PlanVerificationError(report)
-
-    def _cost_mode(self, mode: str, cm: CompiledMode) -> None:
-        """Predict one compiled mode's cost and stash the report.
-
-        Advisory, unlike :meth:`_verify_mode`: PERF findings are
-        warnings about *speed*, not safety — the mode still caches and
-        runs.  Lazy import, same contract as verification.
-        """
-        self._assert_compile_locked()
-        from repro.check.cost_model import cost_compiled_mode
-        from repro.check.diagnostics import CheckReport
-        target = f"{self.net.name}/{mode}"
-        report = CheckReport(tool="cost-model", checked=[target])
-        pred, diags = cost_compiled_mode(
-            self.net, cm, self.config.for_mode(mode), target=target)
-        report.extend(diags)
-        report.metrics[target] = pred.to_dict()
-        self.cost_reports[mode] = report
 
     def _assert_compile_locked(self) -> None:
         """Planning-state mutation guard: helpers that write the
@@ -593,18 +565,15 @@ class Engine:
 
 def compile(net: Net, config: Optional[RuntimeConfig] = None,
             modes: Tuple[str, ...] = (),
-            verify: Optional[bool] = None,
-            cost_report: Optional[bool] = None) -> Engine:
+            verify: Optional[bool] = None) -> Engine:
     """Compile a network into an :class:`Engine`.
 
     ``modes`` eagerly compiles the named execution modes; by default
     compilation happens lazily when the first session of a mode runs.
     ``verify=True`` runs the static plan verifier on every compiled
-    mode and refuses to cache one that fails (see :mod:`repro.check`);
-    ``cost_report=True`` additionally predicts every compiled mode's
-    cost and stashes the advisory report on ``engine.cost_reports``.
+    mode and refuses to cache one that fails (see :mod:`repro.check`).
     """
-    engine = Engine(net, config, verify=verify, cost_report=cost_report)
+    engine = Engine(net, config, verify=verify)
     for mode in modes:
         engine.compiled(mode)
     return engine

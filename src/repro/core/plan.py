@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.core.workspace import WorkspaceChoice
+from repro.device.timeline import BW, FW
 from repro.graph.route import Phase, Step
 from repro.layers.data import DataLayer
 from repro.tensors.tensor import Tensor
@@ -145,7 +146,7 @@ class CompiledStep:
         self.after_ops: Tuple[StepOp, ...] = ()
         self.settled_ops: Tuple[StepOp, ...] = ()
         if self.is_forward:
-            self.submit_label = f"fw:{layer.name}"
+            self.submit_label = f"{FW}:{layer.name}"
             self.duration = layer.sim_time_forward(model)
             self.reads = tuple(route.forward_reads(layer))
             self.output = layer.output
@@ -154,7 +155,7 @@ class CompiledStep:
             self.grad_targets = ()
             self.param_grads = ()
         else:
-            self.submit_label = f"bw:{layer.name}"
+            self.submit_label = f"{BW}:{layer.name}"
             self.duration = 0.0 if self.is_data \
                 else layer.sim_time_backward(model)
             self.reads = tuple(route.backward_reads(layer))

@@ -51,7 +51,7 @@ from repro.core import config as _config
 from repro.core.cache import TensorCache
 from repro.core.config import RecomputeStrategy, RuntimeConfig
 from repro.core.workspace import WorkspaceChoice, WorkspaceSelector
-from repro.device.timeline import Stream
+from repro.device.timeline import RECOMPUTE, Stream
 from repro.graph.route import Phase, Step
 from repro.layers.base import Layer, LayerContext
 from repro.layers.conv import Conv2D
@@ -819,7 +819,7 @@ class RecomputePolicy(MemoryPolicy):
         state.lock(layer.output)
         ctx.submit_compute(
             layer.sim_time_forward(ctx.model),
-            f"recompute:{layer.name}",
+            f"{RECOMPUTE}:{layer.name}",
         )
         if ctx.concrete:
             ins = [ctx.store.get_required(p.output) for p in layer.prev]

@@ -54,7 +54,8 @@ from repro.device.dma import CopyDirection, DMAEngine
 from repro.device.fabric import MemoryFabric
 from repro.device.gpu import OutOfMemoryError, SimulatedGPU
 from repro.device.model import DeviceModel
-from repro.device.timeline import Event, Stream, Timeline
+from repro.device.timeline import (
+    BW, EVICT, FETCH, FW, OFFLOAD, PREFETCH, RELEASE, Event, Stream, Timeline)
 from repro.graph.network import Net
 from repro.graph.route import ExecutionRoute, Phase, Step
 from repro.layers.base import Layer, LayerContext
@@ -532,7 +533,7 @@ class Executor:
         """Synchronous offload used by LRU eviction; returns bytes freed."""
         pool = self.fabric.stash(t.tensor_id, t.nbytes)
         ev = self.dma.copy_async(t.nbytes, CopyDirection.D2H,
-                                 label=f"evict:{t.name}",
+                                 label=f"{EVICT}:{t.name}",
                                  rate_scale=pool.d2h_scale)
         self._stall += self.timeline.sync(Stream.COMPUTE, ev)
         self.state.set_host_resident(t, True)
@@ -549,7 +550,7 @@ class Executor:
         """Eager UTP offload: D2H overlaps following forward compute."""
         pool = self.fabric.stash(t.tensor_id, t.nbytes)
         ev = self.dma.copy_async(t.nbytes, CopyDirection.D2H,
-                                 label=f"offload:{t.name}", after=after,
+                                 label=f"{OFFLOAD}:{t.name}", after=after,
                                  rate_scale=pool.d2h_scale)
         self.state.set_host_resident(t, True)
         a = self._alloc_of.get(t.tensor_id)
@@ -577,6 +578,8 @@ class Executor:
 
     def _complete_offload(self, p: _PendingOffload) -> None:
         t = p.tensor
+        # the GPU-absent window of an offload starts here
+        self.timeline.mark(Stream.COMPUTE, f"{RELEASE}:{t.name}")
         a = self._alloc_of.pop(t.tensor_id, None)
         if a is not None:
             self.allocator.free(a)
@@ -591,13 +594,13 @@ class Executor:
         if not state.on_host(t) or state.arrival_pending(t):
             return state.arrival_pending(t)
         try:
-            a = self.allocator.alloc(t.nbytes, tag=f"prefetch:{t.name}")
+            a = self.allocator.alloc(t.nbytes, tag=f"{PREFETCH}:{t.name}")
         except OutOfMemoryError:
             return False
         self._alloc_of[t.tensor_id] = a
         pool = self.fabric.pool_of(t.tensor_id)
         ev = self.dma.copy_async(t.nbytes, CopyDirection.H2D,
-                                 label=f"prefetch:{t.name}",
+                                 label=f"{PREFETCH}:{t.name}",
                                  rate_scale=pool.h2d_scale if pool else 1.0)
         state.set_arrival(t, ev)
         state.set_placement(t, Placement.GPU)
@@ -622,7 +625,7 @@ class Executor:
             a = self._gpu_alloc_tensor(t)  # may evict/reap
             pool = self.fabric.pool_of(t.tensor_id)
             ev = self.dma.copy_async(
-                t.nbytes, CopyDirection.H2D, label=f"fetch:{t.name}",
+                t.nbytes, CopyDirection.H2D, label=f"{FETCH}:{t.name}",
                 rate_scale=pool.h2d_scale if pool else 1.0)
             self._stall += self.timeline.sync(Stream.COMPUTE, ev)
             self.store.move_to_gpu(t)
@@ -960,7 +963,7 @@ class Executor:
         self._dispatch("before_compute", step)
         duration = ctx.step_duration if ctx.step_duration is not None \
             else layer.sim_time_forward(self.model)
-        ev = self.timeline.submit(Stream.COMPUTE, duration, f"fw:{layer.name}")
+        ev = self.timeline.submit(Stream.COMPUTE, duration, f"{FW}:{layer.name}")
         ctx.last_compute_event = ev
 
         if self.concrete:
@@ -1016,7 +1019,7 @@ class Executor:
         self._dispatch("before_compute", step)
         duration = ctx.step_duration if ctx.step_duration is not None \
             else layer.sim_time_backward(self.model)
-        ev = self.timeline.submit(Stream.COMPUTE, duration, f"bw:{layer.name}")
+        ev = self.timeline.submit(Stream.COMPUTE, duration, f"{BW}:{layer.name}")
         ctx.last_compute_event = ev
 
         if self.concrete:

@@ -48,6 +48,8 @@ class WorkspaceSelector:
         self.policy = policy
         self.model = model
         self.choices: List[WorkspaceChoice] = []
+        #: fragmentation fallbacks among this iteration's choices
+        self.fallbacks = 0
 
     def select(self, layer: Conv2D, free_bytes: int, phase: str) -> WorkspaceChoice:
         best = layer.max_speed_algo(self.model)
@@ -71,9 +73,11 @@ class WorkspaceSelector:
     def replace_last(self, choice: WorkspaceChoice) -> WorkspaceChoice:
         """Overwrite the latest record (the fragmentation fallback)."""
         self.choices[-1] = choice
+        self.fallbacks += 1
         return choice
 
     def reset(self) -> None:
         """Per-iteration reset: the log is an iteration-scoped record,
         not a lifetime accumulator."""
         self.choices.clear()
+        self.fallbacks = 0

@@ -16,6 +16,14 @@ Time is a float in seconds.  There is no event queue to pump: because
 every duration is known at submission, completion times are computed
 eagerly — the classic "max of dependencies plus duration" critical-path
 recurrence.
+
+When the op log is on, every record's label is ``"<kind>:<name>"`` with
+``kind`` drawn from the vocabulary below: kernels (``fw``/``bw``/
+``recompute``), copies (``prefetch``/``fetch``/``offload``/``evict``),
+compute stalls (``stall:<awaited copy's label>``) and the instant at
+which an offload's GPU bytes are released (``release``).  The executor,
+the policies and the cost model all build and parse labels through
+these names.
 """
 
 from __future__ import annotations
@@ -24,7 +32,19 @@ import enum
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, NamedTuple, Optional
+from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
+
+
+#: op-log label kinds (see the module docstring)
+FW, BW, RECOMPUTE = "fw", "bw", "recompute"
+PREFETCH, FETCH, OFFLOAD, EVICT = "prefetch", "fetch", "offload", "evict"
+STALL, RELEASE = "stall", "release"
+
+
+def split_label(label: str) -> Tuple[str, str]:
+    """``"<kind>:<name>"`` -> ``(kind, name)``."""
+    kind, _, name = label.partition(":")
+    return kind, name
 
 
 class Stream(enum.Enum):
@@ -118,11 +138,14 @@ class Timeline:
         self._clock[key] = end
         self._busy[key] += duration
         if self.record_ops:
-            if self.max_ops is not None \
-                    and len(self._ops) == self.max_ops:
-                self.dropped_ops += 1
-            self._ops.append(_OpRecord(label, stream, start, end))
+            self._record(label, stream, start, end)
         return Event(next(self._events), stream, end, label)
+
+    def _record(self, label: str, stream: Stream, start: float,
+                end: float) -> None:
+        if self.max_ops is not None and len(self._ops) == self.max_ops:
+            self.dropped_ops += 1
+        self._ops.append(_OpRecord(label, stream, start, end))
 
     def tick(self, stream: Stream, duration: float) -> None:
         """Serialized host-side latency (mallocs/frees): advance the
@@ -142,13 +165,23 @@ class Timeline:
         self._busy["compute"] += duration
 
     def sync(self, stream: Stream, event: Event) -> float:
-        """Block ``stream`` until ``event`` completes; returns stall time."""
+        """Block ``stream`` until ``event`` completes; returns stall time.
+        A stall is logged as ``stall:<event label>`` on ``stream``."""
         key = stream.value
         now = self._clock[key]
         if event.time > now:
             self._clock[key] = event.time
+            if self.record_ops:
+                self._record(f"{STALL}:{event.label}", stream, now,
+                             event.time)
             return event.time - now
         return 0.0
+
+    def mark(self, stream: Stream, label: str) -> None:
+        """Log a zero-length record at ``stream``'s clock (op log only)."""
+        if self.record_ops:
+            now = self._clock[stream.value]
+            self._record(label, stream, now, now)
 
     def sync_all(self) -> float:
         """Join every stream (end-of-iteration barrier); returns new now."""

@@ -9,8 +9,8 @@ incoming request and orders them best-first:
         + depth_weight * pending_rows / capacity``
 
 The first term is the static shape fit — the per-request form of the
-cost model's PERF006 serving fill model
-(:func:`repro.check.cost_model.request_padding_rows`): a 3-row request
+cost model's PERF006 serving fill model (:func:`request_padding_rows`
+below): a 3-row request
 wastes 1 padded row on a compiled batch of 4 but 13 on a batch of 16.
 The second term is the live load — a lane's backlog measured in
 batches, so a deep queue on the perfectly-shaped engine loses to an
@@ -27,7 +27,26 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.check.cost_model import request_padding_rows
+
+def request_steps(batch: int, size: int) -> int:
+    """Engine steps a ``size``-row request costs on a compiled ``batch``
+    shape (the greedy-fill split: ``ceil(size / batch)``)."""
+    if batch < 1 or size < 1:
+        raise ValueError("request_steps needs batch >= 1 and size >= 1")
+    return -(-size // batch)
+
+
+def request_padding_rows(batch: int, size: int) -> int:
+    """Padded rows a lone ``size``-row request wastes on a compiled
+    ``batch`` shape — the per-request form of the PERF006 fill model,
+    used online to score candidate engines."""
+    return request_steps(batch, size) * batch - size
+
+
+def request_fill(batch: int, size: int) -> float:
+    """Fill ratio of a lone ``size``-row request on a compiled ``batch``
+    shape (1.0 means zero padding waste)."""
+    return size / (request_steps(batch, size) * batch)
 
 
 class Router:

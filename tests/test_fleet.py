@@ -20,11 +20,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.check.cost_model import (
-    request_fill,
-    request_padding_rows,
-    request_steps,
-)
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
 from repro.serve import (
@@ -39,6 +34,11 @@ from repro.serve import (
 from repro.serve.batcher import DeadlineCoalescer
 from repro.serve.metrics import FleetMetrics, ServerMetrics, _stats_ms
 from repro.serve.queue import InferenceRequest
+from repro.serve.router import (
+    request_fill,
+    request_padding_rows,
+    request_steps,
+)
 from repro.zoo import NETWORK_BUILDERS
 
 
