@@ -23,7 +23,7 @@ burst and hard-asserts the backpressure contract: sheds are explicit
 ``RequestRejected``s and ``completed + failed + shed == offered``
 holds exactly.
 
-With ``REPRO_TRACE_SYNC=1`` exported (the CI fleet-smoke job does) the
+With ``REPRO_TRACE=sync`` exported (the CI fleet-smoke job does) the
 whole run records synchronization events and the race detector
 analyzes the log at the end.
 
@@ -263,13 +263,14 @@ def main() -> int:
     print(f"\nwrote {args.output}")
 
     from repro.check import instrument
-    if instrument.armed():
+    log = instrument.SYNC
+    if log is not None:
         from repro.check import analyze_log
-        log = instrument.active_log()
         report = analyze_log(log, target="fleet-bench")
         print(f"race sanitizer: {len(log)} events analyzed, "
               f"{len(report.errors)} error(s), "
-              f"{len(report.warnings)} warning(s)")
+              f"{len(report.warnings)} warning(s)"
+              f"{', log truncated' if log.truncated else ''}")
         if not report.ok:
             print(report.render(), file=sys.stderr)
             return 1

@@ -81,10 +81,10 @@ def _measure(make_config, replay: bool, batch: int, iters: int,
 OBS_OVERHEAD_BUDGET = 0.02
 
 
-def _measure_obs(trace_flag, batch: int, iters: int) -> float:
+def _measure_obs(trace_flag: bool, batch: int, iters: int) -> float:
     """One timed run with ``RuntimeConfig.trace=trace_flag``:
-    ``None`` = hooks live but tracer disarmed (the default everyone
-    pays), ``False`` = the executor skips its own hooks (the control
+    ``True`` = hook live but spans disarmed (the default everyone
+    pays), ``False`` = the executor skips its own hook (the control
     arm the disarmed path is measured against)."""
     net = alexnet(batch=batch, image=227)
     with Executor(net, RuntimeConfig.superneurons(
@@ -98,23 +98,19 @@ def _measure_obs(trace_flag, batch: int, iters: int) -> float:
 
 
 def run_obs_overhead(batch: int, iters: int, repeats: int) -> dict:
-    """Disarmed-tracing cost: trace=None (hook live, global tracer
-    ``None``) vs trace=False (hook suppressed).  Arms are interleaved
-    per repeat and min-reduced, the same noise discipline as
-    :func:`_measure`; the process tracer is force-disarmed for the
-    measurement so an ambient ``REPRO_TRACE=1`` cannot turn this into
+    """Disarmed-tracing cost: trace=True (hook live, no span log armed)
+    vs trace=False (hook suppressed).  Arms are interleaved per repeat
+    and min-reduced, the same noise discipline as :func:`_measure`;
+    every trace category is disarmed for the measurement (a capture of
+    no category) so an ambient ``REPRO_TRACE`` cannot turn this into
     an armed-cost benchmark."""
-    from repro.obs import trace as obs_trace
+    from repro.check import instrument
 
-    prev = obs_trace.disarm()
     disarmed = control = float("inf")
-    try:
+    with instrument.capture():
         for _ in range(repeats):
-            disarmed = min(disarmed, _measure_obs(None, batch, iters))
+            disarmed = min(disarmed, _measure_obs(True, batch, iters))
             control = min(control, _measure_obs(False, batch, iters))
-    finally:
-        if prev is not None:
-            obs_trace.arm(prev)
     return {
         "bench": "obs_overhead",
         "net": "alexnet",

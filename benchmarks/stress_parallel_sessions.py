@@ -9,7 +9,7 @@ sequential baseline session.  Any cross-session state leak shows up as
 a mismatch (or a crash); a hung session shows up as a TimeoutError —
 both exit non-zero.
 
-With ``REPRO_TRACE_SYNC=1`` exported (the CI parallel-stress job does)
+With ``REPRO_TRACE=sync`` exported (the CI parallel-stress job does)
 the whole run records synchronization events, and the race detector
 analyzes the log at the end — a happens-before violation fails the
 gate even when the outputs happened to come out bit-identical.
@@ -103,13 +103,14 @@ def main(argv=None) -> int:
     print("all parallel sessions bit-identical to sequential baseline")
 
     from repro.check import instrument
-    if instrument.armed():
+    log = instrument.SYNC
+    if log is not None:
         from repro.check import analyze_log
-        log = instrument.active_log()
         report = analyze_log(log, target="parallel-stress")
         print(f"race sanitizer: {len(log)} events analyzed, "
               f"{len(report.errors)} error(s), "
-              f"{len(report.warnings)} warning(s)")
+              f"{len(report.warnings)} warning(s)"
+              f"{', log truncated' if log.truncated else ''}")
         if not report.ok:
             print(report.render(), file=sys.stderr)
             return 1

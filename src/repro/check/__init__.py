@@ -23,9 +23,8 @@ findings with provenance and serialize to one JSON artifact schema CI
 uploads (``diagnostics.SCHEMA_VERSION``).  Entry points: ``repro check
 plan`` / ``check lint`` / ``check race`` / ``check cost`` on the CLI;
 ``Engine(..., verify=True)`` / ``RuntimeConfig.verify_plans`` at
-compile time; ``RuntimeConfig.trace_sync`` / ``REPRO_TRACE_SYNC=1`` to
-arm the synchronization trace (capacity via ``trace_sync_cap`` /
-``REPRO_TRACE_SYNC_CAP``).
+compile time; ``REPRO_TRACE=sync`` or ``instrument.capture("sync")``
+to arm the synchronization trace.
 
 Attribute resolution is lazy (PEP 562): ``repro.check.instrument`` is
 imported by core modules (engine, tensor_state) whose own import chain
@@ -71,7 +70,6 @@ _EXPORTS: Dict[str, str] = {
     "TracedLock": "instrument",
     "TracedThread": "instrument",
     "arm": "instrument",
-    "armed": "instrument",
     "capture": "instrument",
     "channel_recv": "instrument",
     "channel_send": "instrument",

@@ -1,4 +1,4 @@
-"""Synchronization instrumentation: traced primitives + the event log.
+"""Instrumentation: traced primitives + the one bounded event log.
 
 The race detector (:mod:`repro.check.race_detector`) is an *execution*
 checker: it replays a happens-before analysis over a log of every
@@ -20,15 +20,23 @@ This module is the recording half:
   request queue put/take, batch publish/pop, ``parallel_run``'s
   submit/collect).
 
+The same log also holds the observability spans
+(:mod:`repro.obs.trace`): one event stream, one raw append lock, one
+``limit``/``truncated`` pair, one deduplicated thread key and one
+clock.  Appending a span takes only the raw lock, so span hooks add no
+happens-before edge the detector could mistake for synchronization.
+
 Arming
 ------
-Tracing is process-global and off by default: every hook first checks
-the module-level :data:`ACTIVE` log and returns immediately when it is
-``None`` (one global load + ``is None`` per operation — the "near-zero
-when disarmed" contract the serving benchmark holds to ≤5%).  Arm it
-with :func:`arm`/:func:`capture`, via ``RuntimeConfig.trace_sync``, or
-by exporting ``REPRO_TRACE_SYNC=1`` (consulted once, at import — how
-the CI stress/race jobs arm whole scripts without code changes).
+A log is armed per record category — ``sync`` (the race detector's
+input) and ``span`` (the exporter's and flight recorder's) — by
+publishing it to the module globals :data:`SYNC` and :data:`SPANS`.
+Tracing is off by default: every hook first loads its global and
+returns immediately when it is ``None`` (one global load + ``is None``
+per operation — the "near-zero when disarmed" contract the serving
+benchmark holds to ≤5%).  Arm with :func:`arm`/:func:`capture`, or name
+the categories in ``REPRO_TRACE`` (a comma list, read once at import —
+how the CI stress/race jobs arm whole scripts without code changes).
 
 Gate locks
 ----------
@@ -41,49 +49,31 @@ greppable record of that intent, exactly like a lint pragma.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, NamedTuple, Optional
+from time import monotonic
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Tuple)
 
-#: Environment switch: "1"/"true"/"yes"/"on" arms tracing at import.
-TRACE_ENV = "REPRO_TRACE_SYNC"
+#: Environment switch: a comma list of :data:`CATEGORIES` armed at import.
+TRACE_ENV = "REPRO_TRACE"
 
-#: Environment override for the default event-log capacity (see
-#: :func:`default_limit`); ``RuntimeConfig.trace_sync_cap`` wins over it
-#: per engine.
-CAP_ENV = "REPRO_TRACE_SYNC_CAP"
+#: The record categories a log can be armed for.
+CATEGORIES = ("sync", "span")
 
-#: Default event-log capacity.  On overflow the log stops appending and
-#: sets :attr:`EventLog.truncated`; the detector reports RACE005
-#: (incomplete-trace, warning) so a silently-partial analysis is
-#: impossible.
+#: Default event-log capacity, in records.  On overflow the log stops
+#: appending and sets :attr:`EventLog.truncated`; the detector reports
+#: RACE005 (incomplete-trace, warning) and the exporter marks the trace
+#: truncated, so a silently-partial capture is impossible.
 DEFAULT_LIMIT = 2_000_000
-
-
-def default_limit() -> int:
-    """The event-log capacity to use when none is given explicitly:
-    ``REPRO_TRACE_SYNC_CAP`` when set to a positive integer, else
-    :data:`DEFAULT_LIMIT`.  Read per call, so one process can re-resolve
-    after the environment changes (the tests do)."""
-    raw = os.environ.get(CAP_ENV, "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{CAP_ENV} must be a positive integer, got {raw!r}")
-        if cap < 1:
-            raise ValueError(
-                f"{CAP_ENV} must be a positive integer, got {raw!r}")
-        return cap
-    return DEFAULT_LIMIT
 
 
 class SyncEvent(NamedTuple):
     """One synchronization operation or shared-state access."""
 
-    seq: int        # global order (assigned under the log's lock)
+    seq: int        # position in the log (assigned under its lock)
     thread: str     # stable per-log thread key (name, deduped by ident)
     kind: str       # see KINDS
     obj: int        # id() of the primitive / shared-state owner
@@ -106,24 +96,32 @@ KINDS = frozenset({
 
 
 class EventLog:
-    """Thread-safe append-only log of :class:`SyncEvent` records.
+    """Thread-safe, bounded, append-only log of trace records.
 
-    Appends serialize on one internal (raw, untraced) lock, so ``seq``
-    is a total order consistent with the real execution: a lock-release
+    Records are :class:`SyncEvent` tuples and span objects
+    (:class:`repro.obs.trace.Span`), in one ``events`` list.  Appends
+    serialize on one internal raw (untraced) lock, so the order is a
+    total order consistent with the real execution: a lock-release
     record is appended while the lock is still held, an acquire record
     after acquisition, which keeps the log order a linearization of the
-    synchronization order the detector replays.
+    synchronization order the detector replays.  ``clock`` times spans;
+    ``span_ids``/``trace_ids`` number them.
     """
 
-    def __init__(self, limit: Optional[int] = None):
+    def __init__(self, limit: Optional[int] = None,
+                 clock: Callable[[], float] = monotonic):
         if limit is None:
-            limit = default_limit()
+            limit = DEFAULT_LIMIT
         if limit < 1:
             raise ValueError(f"event log limit must be >= 1, got {limit}")
-        self._lock = threading.Lock()   # the one raw lock: LINT005 owner
-        self.events: List[SyncEvent] = []
+        #: the one raw lock (LINT005 owner); span finishing shares it
+        self.lock = threading.Lock()
+        self.events: list = []
         self.limit = limit
         self.truncated = False
+        self.clock = clock
+        self.span_ids = itertools.count(1)
+        self.trace_ids = itertools.count(1)
         self._thread_keys: Dict[int, str] = {}    # id(thread) -> key
         self._threads: List[threading.Thread] = []  # pins: ids stay unique
         self._names_seen: Dict[str, int] = {}     # name -> count
@@ -149,8 +147,9 @@ class EventLog:
 
     def record(self, kind: str, obj: int = 0, label: str = "",
                detail: str = "", gate: bool = False) -> None:
+        """Append one :class:`SyncEvent` from the calling thread."""
         t = threading.current_thread()
-        with self._lock:
+        with self.lock:
             if len(self.events) >= self.limit:
                 self.truncated = True
                 return
@@ -158,78 +157,91 @@ class EventLog:
                 len(self.events), self._thread_key(t), kind, obj,
                 label, detail, gate))
 
+    def append(self, record) -> None:
+        """Append a record with a writable ``thread`` attribute (a
+        span), stamped with the calling thread's key.  Past ``limit``
+        the record is stamped but not retained."""
+        t = threading.current_thread()
+        with self.lock:
+            record.thread = self._thread_key(t)
+            if len(self.events) >= self.limit:
+                self.truncated = True
+            else:
+                self.events.append(record)
+
+    def records(self, cls: type) -> list:
+        """Snapshot of the retained records of type ``cls``, in order."""
+        with self.lock:
+            return [e for e in self.events if type(e) is cls]
+
     def __len__(self) -> int:
         return len(self.events)
 
 
-def _env_armed() -> bool:
-    return os.environ.get(TRACE_ENV, "").strip().lower() \
-        in ("1", "true", "yes", "on")
+#: The log armed for the ``sync`` category, or ``None``.  Hot paths
+#: read these module attributes directly (``instrument.SPANS is not
+#: None``), so the disarmed cost is one global load per hook.
+SYNC: Optional[EventLog] = None
+#: The log armed for the ``span`` category, or ``None``.
+SPANS: Optional[EventLog] = None
 
 
-#: The armed log, or ``None`` when tracing is off.  Hot paths read this
-#: module attribute directly (``instrument.ACTIVE is not None``) so the
-#: disarmed cost is one global load per hook.
-ACTIVE: Optional[EventLog] = None
+def _check_categories(cats, source: str = "trace categories") -> None:
+    unknown = [c for c in cats if c not in CATEGORIES]
+    if unknown:
+        raise ValueError(f"{source}: unknown categor"
+                         f"{'y' if len(unknown) == 1 else 'ies'} "
+                         f"{', '.join(map(repr, unknown))}; known: "
+                         f"{', '.join(CATEGORIES)}")
 
 
-def arm(log: Optional[EventLog] = None) -> EventLog:
-    """Arm tracing (idempotent when already armed and ``log`` is None)."""
-    global ACTIVE
-    if log is not None:
-        ACTIVE = log
-    elif ACTIVE is None:
-        ACTIVE = EventLog()
-    return ACTIVE
+def env_categories() -> Tuple[str, ...]:
+    """The categories ``REPRO_TRACE`` names (empty: none).  Unknown
+    names raise ``ValueError``."""
+    cats = tuple(c.strip() for c in os.environ.get(TRACE_ENV, "").split(",")
+                 if c.strip())
+    _check_categories(cats, TRACE_ENV)
+    return cats
 
 
-def disarm() -> Optional[EventLog]:
-    """Disarm tracing; returns the log that was active (if any)."""
-    global ACTIVE
-    log, ACTIVE = ACTIVE, None
+def arm(*cats: str, limit: Optional[int] = None,
+        clock: Callable[[], float] = monotonic) -> EventLog:
+    """Publish one fresh log for exactly ``cats``; every category not
+    named is disarmed.  Returns the log."""
+    global SYNC, SPANS
+    _check_categories(cats)
+    log = EventLog(limit, clock)
+    SYNC = log if "sync" in cats else None
+    SPANS = log if "span" in cats else None
     return log
 
 
-def armed() -> bool:
-    return ACTIVE is not None
-
-
-def active_log() -> Optional[EventLog]:
-    return ACTIVE
-
-
-def resolve_arm(flag: Optional[bool], cap: Optional[int] = None) -> None:
-    """Arm per a ``RuntimeConfig.trace_sync`` value: ``True`` arms,
-    ``False``/``None`` leave the current state alone (``None`` defers
-    to the environment switch, which was applied at import).  ``cap``
-    (``RuntimeConfig.trace_sync_cap``) sizes the log when arming — and
-    re-caps an already-armed log, since the knob's contract is "this
-    run's trace stops at N events" however arming happened."""
-    if flag:
-        log = arm(EventLog(limit=cap) if ACTIVE is None and cap is not None
-                  else None)
-        if cap is not None:
-            log.limit = cap
+def disarm() -> Optional[EventLog]:
+    """Disarm every category; returns the log that was armed (if any)."""
+    global SYNC, SPANS
+    log = SYNC if SYNC is not None else SPANS
+    SYNC = SPANS = None
+    return log
 
 
 @contextmanager
-def capture(limit: Optional[int] = None) -> Iterator[EventLog]:
-    """Arm a fresh log for the enclosed block, then restore the
-    previous arming state — the scenario/test entry point.  ``limit``
-    of ``None`` resolves through :func:`default_limit`."""
-    global ACTIVE
-    prev = ACTIVE
-    log = EventLog(limit=limit)
-    ACTIVE = log
+def capture(*cats: str, limit: Optional[int] = None,
+            clock: Callable[[], float] = monotonic) -> Iterator[EventLog]:
+    """:func:`arm` ``cats`` for the enclosed block, then restore the
+    previous arming — the scenario/test entry point.  With no category
+    the block runs disarmed."""
+    global SYNC, SPANS
+    prev = SYNC, SPANS
+    log = arm(*cats, limit=limit, clock=clock)
     try:
         yield log
     finally:
-        ACTIVE = prev
+        SYNC, SPANS = prev
 
 
 def _rec(kind: str, obj: int, label: str, detail: str = "",
          gate: bool = False) -> None:
-    log = ACTIVE
+    log = SYNC
     if log is not None:
         log.record(kind, obj, label, detail, gate)
 
@@ -388,5 +400,6 @@ def channel_recv(token: str, label: str = "chan") -> None:
 
 # module init: the environment switch arms process-wide tracing for
 # whole scripts (CI stress / race-sanitizer jobs) without code changes
-if _env_armed():  # pragma: no cover - exercised via subprocess in CI
-    arm()
+_ENV_CATEGORIES = env_categories()
+if _ENV_CATEGORIES:  # pragma: no cover - exercised via subprocess in CI
+    arm(*_ENV_CATEGORIES)

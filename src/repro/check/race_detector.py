@@ -4,8 +4,9 @@ The third pillar of ``repro.check``: the plan verifier proves compiled
 *plans* safe and the linter proves *source* discipline; this module
 proves *executions* — it replays a vector-clock happens-before analysis
 (FastTrack-style epochs) plus an Eraser-style lockset classification
-over the :class:`~repro.check.instrument.EventLog` one instrumented run
-produced, and reports:
+over the :class:`~repro.check.instrument.SyncEvent` records of the
+:class:`~repro.check.instrument.EventLog` one instrumented run produced
+(span records in the same log are skipped), and reports:
 
 * **RACE001 unordered-conflicting-access** — two threads touched the
   same shared location, at least one wrote, and no happens-before path
@@ -45,7 +46,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.check.diagnostics import CheckReport, Diagnostic
-from repro.check.instrument import EventLog
+from repro.check.instrument import EventLog, SyncEvent
 
 Clock = Dict[str, int]
 
@@ -232,8 +233,8 @@ class _Analysis:
         self.reads[loc] = {}
 
     # -- the event loop ----------------------------------------------------
-    def feed(self, log: EventLog) -> None:
-        for ev in log.events:
+    def feed(self, events: List[SyncEvent]) -> None:
+        for ev in events:
             tid, kind, obj = ev.thread, ev.kind, ev.obj
             if kind == "acquire":
                 self._acquire(tid, obj, ev.label, ev.gate, ev.seq)
@@ -362,19 +363,20 @@ class _Analysis:
 def analyze_log(log: EventLog, target: str = "run") -> CheckReport:
     """Run the happens-before + lockset + lock-graph analysis over one
     recorded log; returns a ``race-detector`` :class:`CheckReport`."""
+    events = log.records(SyncEvent)
     a = _Analysis(target)
-    a.feed(log)
+    a.feed(events)
     a.find_inversions()
     if log.truncated:
         a.emit(
             "RACE005",
-            f"event log hit its {log.limit}-event capacity and dropped "
+            f"event log hit its {log.limit}-record capacity and dropped "
             f"events: the analysis covers a prefix of the run, so a "
             f"clean result is not proof (raise the limit)",
             severity="warning")
     report = CheckReport(tool="race-detector")
-    threads = {e.thread for e in log.events}
+    threads = {e.thread for e in events}
     report.checked.append(
-        f"{target}: {len(log.events)} events, {len(threads)} threads")
+        f"{target}: {len(events)} events, {len(threads)} threads")
     report.extend(a.diags)
     return report

@@ -11,8 +11,8 @@ on the CLI and the ``race-sanitizer`` CI job run both):
   storm* exercises the ``swap_weights`` barrier against live workers
   (the PR 5 queue/batcher/worker path).
 
-Each runs entirely under :func:`repro.check.instrument.capture` and
-returns ``(EventLog, info)`` for :func:`repro.check.race_detector.analyze_log`.
+Each runs entirely under ``instrument.capture("sync")`` and returns
+``(EventLog, info)`` for :func:`repro.check.race_detector.analyze_log`.
 Both are deterministic in their scheduling *surface* (seeded arrivals,
 fixed request sizes), though the interleaving itself is the thread
 scheduler's — which is the point: the detector checks the
@@ -52,7 +52,7 @@ def run_parallel_scenario(net: str = "lenet", sessions: int = 4,
     through :meth:`~repro.core.engine.Engine.parallel_run`, including
     the lazy-compile path both modes share.
     """
-    with capture(limit=limit) as log:
+    with capture("sync", limit=limit) as log:
         cfg = RuntimeConfig(concrete=False)
         engine = compile_engine(_build(net, batch), cfg)
         infer = [engine.session(mode="infer") for _ in range(sessions)]
@@ -97,7 +97,7 @@ def run_serving_scenario(net: str = "lenet", workers: int = 3,
     """
     rng = random.Random(seed)
     swap_every = max(1, requests // (swaps + 1)) if swaps else 0
-    with capture(limit=limit) as log:
+    with capture("sync", limit=limit) as log:
         cfg = RuntimeConfig(concrete=False)
         engine = compile_engine(_build(net, batch), cfg,
                                 modes=("infer",))

@@ -40,6 +40,7 @@ import time
 
 from repro.analysis import memory_breakdown_by_type, time_breakdown_by_type
 from repro.analysis.report import Table
+from repro.check import instrument
 from repro.core.engine import Engine
 from repro.core.policy import POLICY_REGISTRY
 from repro.core.session import Session
@@ -74,20 +75,20 @@ def paced_replay(arrivals, dispatch, clock=None, sleep=time.sleep) -> None:
         dispatch(i, arrival)
 
 
-def _export_obs(args, tracer, timelines, counts, metrics_host,
+def _export_obs(args, trace_log, timelines, counts, metrics_host,
                 prefix: str) -> None:
     """Write the serve observability artifacts.  ``--trace-out`` gets
     the merged Chrome trace (span trees + worker device timelines,
     validated against the serving counts before writing);
     ``--metrics-out`` appends one metrics-registry JSONL snapshot."""
-    if tracer is not None and args.trace_out:
+    if trace_log is not None and args.trace_out:
         from repro.obs.export import export_chrome_trace
         completed, failed, shed = counts
         doc = export_chrome_trace(
-            args.trace_out, tracer, timelines=timelines,
+            args.trace_out, trace_log, timelines=timelines,
             counts={"completed": completed, "failed": failed,
                     "shed": shed})
-        print(f"trace        : {len(tracer)} spans, "
+        print(f"trace        : {len(trace_log)} spans, "
               f"{len(doc['traceEvents'])} events -> {args.trace_out}")
     if getattr(args, "metrics_out", None):
         from repro.obs.metrics import MetricsRegistry
@@ -167,28 +168,24 @@ def cmd_trace(args) -> int:
 
 def _cmd_trace_export(args, name, net) -> int:
     """``trace --trace-out``: run ``--iters`` live iterations with the
-    span tracer armed and write the merged Chrome trace — wall-clock
+    span category armed and write the merged Chrome trace — wall-clock
     iteration spans plus the simulated device streams (compute/D2H/H2D
     overlap), Perfetto-loadable."""
-    import dataclasses
-
-    from repro.obs import trace as obs_trace
     from repro.obs.export import export_chrome_trace
 
     if args.iters < 1:
         print("trace --trace-out needs --iters >= 1", file=sys.stderr)
         return 2
-    cfg = dataclasses.replace(_config(args), trace=True)
-    with obs_trace.capture(clock=CLOCK) as tracer:
-        with Session(net, cfg, mode=args.mode) as sess:
+    with instrument.capture("span", clock=CLOCK) as trace_log:
+        with Session(net, _config(args), mode=args.mode) as sess:
             for i in range(args.iters):
                 sess.run_iteration(i)
             timeline = sess.executor.timeline
     doc = export_chrome_trace(
-        args.trace_out, tracer,
+        args.trace_out, trace_log,
         timelines={f"{name}.{args.mode}": timeline})
     print(f"{name} b={args.batch} {args.mode}: {args.iters} iteration(s) "
-          f"traced, {len(tracer)} spans, {len(doc['traceEvents'])} "
+          f"traced, {len(trace_log)} spans, {len(doc['traceEvents'])} "
           f"events -> {args.trace_out}")
     return 0
 
@@ -236,13 +233,12 @@ def cmd_infer(args) -> int:
     engine = Engine(net, _config(args))
     sessions = [engine.session(mode="infer") for _ in range(args.sessions)]
     if args.trace_out:
-        from repro.obs import trace as obs_trace
-        obs_ctx = obs_trace.capture(clock=CLOCK)
+        obs_ctx = instrument.capture("span", clock=CLOCK)
     else:
         from contextlib import nullcontext
         obs_ctx = nullcontext()
     try:
-        with obs_ctx as tracer:
+        with obs_ctx as trace_log:
             t0 = time.perf_counter()
             if args.parallel:
                 # thread-per-session: tensor state is session-local, so
@@ -290,18 +286,18 @@ def cmd_infer(args) -> int:
     print(f"host time    : {wall / n_iter * 1e3:.2f} ms/iter over "
           f"{n_iter} iterations ({args.batch * n_iter / wall:.0f} img/s "
           f"aggregate)")
-    if tracer is not None:
+    if trace_log is not None:
         from repro.obs.export import export_chrome_trace
         doc = export_chrome_trace(
-            args.trace_out, tracer,
+            args.trace_out, trace_log,
             timelines={f"{name}.s{i}": s.executor.timeline
                        for i, s in enumerate(sessions)})
-        print(f"trace        : {len(tracer)} spans, "
+        print(f"trace        : {len(trace_log)} spans, "
               f"{len(doc['traceEvents'])} events -> {args.trace_out}")
     return 0
 
 
-def _cmd_serve_fleet(args, tracer=None) -> int:
+def _cmd_serve_fleet(args, trace_log=None) -> int:
     """Heterogeneous fleet serving: N batch shapes, SLO-aware routing."""
     import numpy as np
 
@@ -365,7 +361,7 @@ def _cmd_serve_fleet(args, tracer=None) -> int:
             print(f"backlog not drained after {args.timeout:g}s; "
                   "aborting", file=sys.stderr)
             os._exit(1)
-        if tracer is not None:
+        if trace_log is not None:
             timelines = fleet.session_timelines()
     m = fleet.metrics.to_dict()
     req = m["fleet"]["requests"]
@@ -383,7 +379,7 @@ def _cmd_serve_fleet(args, tracer=None) -> int:
         print(f"accounting broken: {req['completed']} + {req['failed']} "
               f"+ {req['shed']} != {len(arrivals)}", file=sys.stderr)
         return 1
-    _export_obs(args, tracer, timelines, fleet.metrics.counts(),
+    _export_obs(args, trace_log, timelines, fleet.metrics.counts(),
                 fleet, "fleet")
     return 1 if req["failed"] else 0
 
@@ -398,16 +394,15 @@ def cmd_serve(args) -> int:
         return 2
     run = _cmd_serve_fleet if args.fleet else _cmd_serve_single
     if args.trace_out:
-        # arm a fresh tracer BEFORE the engines build: the executor
+        # arm a fresh span log BEFORE the engines build: the executor
         # decides at construction whether to keep a device-op log for
         # the exporter's simulated-stream lanes
-        from repro.obs import trace as obs_trace
-        with obs_trace.capture(clock=CLOCK) as tracer:
-            return run(args, tracer)
+        with instrument.capture("span", clock=CLOCK) as trace_log:
+            return run(args, trace_log)
     return run(args)
 
 
-def _cmd_serve_single(args, tracer=None) -> int:
+def _cmd_serve_single(args, trace_log=None) -> int:
     """One engine, one dynamic batcher, N worker sessions."""
     import numpy as np
 
@@ -460,7 +455,7 @@ def _cmd_serve_single(args, tracer=None) -> int:
             print(f"backlog not drained after {args.timeout:g}s; "
                   "aborting", file=sys.stderr)
             os._exit(1)
-        if tracer is not None:
+        if trace_log is not None:
             timelines = server.session_timelines()
     m = server.metrics.to_dict()
     failed = m["requests"]["failed"]
@@ -471,7 +466,7 @@ def _cmd_serve_single(args, tracer=None) -> int:
           f"{args.duration:g}s at ~{args.rate:g} req/s "
           f"(sizes 1..{max_request}, seed {args.seed})")
     print(render_slo_report(m))
-    _export_obs(args, tracer, timelines, server.metrics.counts(),
+    _export_obs(args, trace_log, timelines, server.metrics.counts(),
                 server, "server")
     return 1 if failed else 0
 
@@ -727,7 +722,7 @@ def main(argv=None) -> int:
                    help="seconds before a hung --parallel run aborts "
                         "(the parallel_run shared deadline)")
     p.add_argument("--trace-out", default=None,
-                   help="arm the span tracer and write a "
+                   help="arm span tracing and write a "
                         "Perfetto-loadable Chrome trace (per-session "
                         "run/iteration spans + device timelines) here")
     p.set_defaults(fn=cmd_infer)
@@ -779,7 +774,7 @@ def main(argv=None) -> int:
                         "priority=critical with a deadline "
                         "(--fleet mode)")
     p.add_argument("--trace-out", default=None,
-                   help="arm the span tracer and write a "
+                   help="arm span tracing and write a "
                         "Perfetto-loadable Chrome trace (one span tree "
                         "per request + worker device timelines) here")
     p.add_argument("--metrics-out", default=None,
@@ -859,9 +854,9 @@ def main(argv=None) -> int:
     cr.add_argument("--seed", type=int, default=0,
                     help="serving scenario: arrival trace rng seed")
     cr.add_argument("--limit", type=int, default=None,
-                    help="event-log capacity; overflow truncates the "
-                         "trace and reports RACE005 (warning); default "
-                         "honours REPRO_TRACE_SYNC_CAP (else 2000000)")
+                    help="event-log capacity in records; overflow "
+                         "truncates the trace and reports RACE005 "
+                         "(warning); default 2000000")
     _add_check_output(cr)
     cr.set_defaults(fn=cmd_check_race)
 

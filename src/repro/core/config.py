@@ -77,28 +77,11 @@ class RuntimeConfig:
     # the REPRO_VALIDATE_STATE environment variable (set by the test
     # suite and the CI stress/serving jobs); True/False override it.
     validate_state: Optional[bool] = None
-    # arm the synchronization trace (repro.check.instrument): every
-    # traced lock/condition/event/channel op and shared-state access is
-    # logged for the race detector.  None defers to REPRO_TRACE_SYNC
-    # (applied at import); True arms it when the engine is built.
-    trace_sync: Optional[bool] = None
-    # event-log capacity when this config arms the synchronization
-    # trace.  None defers to REPRO_TRACE_SYNC_CAP (else the module
-    # default); overflow truncates the trace and reports RACE005.
-    trace_sync_cap: Optional[int] = None
-    # arm the observability span tracer (repro.obs.trace): engine
-    # iterations, serving request trees and the device-timeline op log
-    # feed the Perfetto exporter.  Three-state: None defers to the
-    # REPRO_TRACE env (applied at import) — the near-zero-cost disarmed
-    # path; True arms the process tracer when the engine/executor is
-    # built; False suppresses this executor's per-iteration hook
-    # entirely (the control arm the bench_steady_state overhead gate
-    # measures the disarmed path against).
-    trace: Optional[bool] = None
-    # span capacity when this config arms the tracer.  None defers to
-    # REPRO_TRACE_LIMIT (else the module default); overflow stops
-    # retaining spans and sets Tracer.truncated.
-    trace_limit: Optional[int] = None
+    # False compiles the executor's per-iteration span hook out entirely
+    # (the hook-free control arm of the bench_steady_state overhead
+    # gate, and the cost model's throwaway replay).  Arming itself is
+    # repro.check.instrument's (REPRO_TRACE / arm / capture).
+    trace: bool = True
     # per-step StepTrace records (Fig. 10).  Long training runs can
     # switch them off so result objects hold O(1) memory per iteration.
     collect_traces: bool = True

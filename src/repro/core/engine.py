@@ -70,11 +70,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.check import instrument
 from repro.check.instrument import (
     TracedLock,
     channel_recv,
     channel_send,
-    resolve_arm,
     trace_read,
     trace_write,
 )
@@ -190,12 +190,6 @@ class Engine:
         self._compile_lock = TracedLock("engine.compile")
         #: bumped by :meth:`install_params`; serving metrics report it
         self.weights_version = 0
-        # arm the synchronization trace when the config asks for it
-        # (None defers to the REPRO_TRACE_SYNC env, applied at import)
-        resolve_arm(self.config.trace_sync, self.config.trace_sync_cap)
-        # same contract for the observability span tracer (repro.obs):
-        # None defers to REPRO_TRACE, True arms the process tracer now
-        obs_trace.resolve_arm(self.config.trace, self.config.trace_limit)
 
     # ------------------------------------------------------------- compiling
     def compiled(self, mode: str = "train") -> CompiledMode:
@@ -311,8 +305,7 @@ class Engine:
     # ----------------------------------------------------------- concurrency
     def parallel_run(self, sessions: Sequence, iters: int,
                      start_iteration: int = 0,
-                     timeout: Optional[float] = None,
-                     trace: Optional[bool] = None
+                     timeout: Optional[float] = None
                      ) -> List[List[IterationResult]]:
         """Drive N sessions concurrently, one thread per session.
 
@@ -340,15 +333,10 @@ class Engine:
         ``timeout-minutes``, or ``os._exit`` as the stress gate does)
         when a hang must not outlive the error.
 
-        ``trace=True`` arms the process span tracer
-        (:mod:`repro.obs.trace`) before the sessions' executors build,
-        so each session gets a ``session.run`` span over ``iters``
-        per-iteration spans and a device timeline with a bounded op
-        log — the ``repro.cli infer --trace-out`` path.  ``None``
-        defers to whatever arming is already in effect.
+        With spans armed (:data:`repro.check.instrument.SPANS`) each
+        session gets a ``session.run`` span over its per-iteration
+        spans — the ``repro.cli infer --trace-out`` path.
         """
-        if trace:
-            obs_trace.arm()
         sessions = list(sessions)
         if not sessions:
             return []
@@ -393,9 +381,9 @@ class Engine:
         # happens-before the result collection below
         def _run_traced(s, token, index):
             channel_recv(token, "parallel_run.submit")
-            tracer = obs_trace.ACTIVE
-            span = None if tracer is None else tracer.root(
-                "session.run", cat="engine",
+            log = instrument.SPANS
+            span = None if log is None else obs_trace.root(
+                log, "session.run", cat="engine",
                 attrs={"session": index, "net": self.net.name,
                        "mode": s.mode, "iters": iters})
             try:

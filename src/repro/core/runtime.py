@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
+from repro.check import instrument
 from repro.core.cache import TensorCache
 from repro.core.config import RuntimeConfig
 from repro.core.liveness import LivenessAnalysis, LivenessPlan
@@ -64,6 +65,11 @@ from repro.mempool.allocator import Allocation, CudaAllocator, PoolAllocator
 from repro.obs import trace as obs_trace
 from repro.tensors.store import ArrayStore, NullStore
 from repro.tensors.tensor import Placement, Tensor, TensorKind
+
+#: per-stream device-timeline op records kept when span tracing arms a
+#: :class:`~repro.device.timeline.Timeline` op log (the exporter merges
+#: them; an unbounded serving run must not grow the log without limit)
+TIMELINE_OPS_LIMIT = 200_000
 
 
 @dataclass
@@ -217,21 +223,19 @@ class Executor:
         self.gpu = SimulatedGPU(self.model)
         if cfg.gpu_capacity is not None:
             self.gpu.capacity = cfg.gpu_capacity
-        # observability: cfg.trace=True arms the process tracer here;
-        # cfg.trace=False suppresses this executor's hooks entirely
-        # (the hook-free control arm of the overhead gate); None defers
-        # to env/global arming, checked per iteration at one global
-        # load.  With tracing on at build time the timeline keeps a
-        # *bounded* op log so the exporter can draw the stream overlap;
-        # otherwise no op records — the per-op log would grow without
-        # bound across iterations (introspection uses traces/stats).
-        obs_trace.resolve_arm(cfg.trace, cfg.trace_limit)
-        self._obs_enabled = cfg.trace is not False
-        record_ops = bool(cfg.trace) or \
-            (cfg.trace is None and obs_trace.armed())
+        # observability: cfg.trace=False compiles this executor's span
+        # hook out entirely (the hook-free control arm of the overhead
+        # gate); otherwise the hook checks instrument.SPANS per
+        # iteration at one global load.  With spans armed at build time
+        # the timeline keeps a *bounded* op log so the exporter can draw
+        # the stream overlap; otherwise no op records — the per-op log
+        # would grow without bound across iterations (introspection
+        # uses traces/stats).
+        self._obs_enabled = cfg.trace
+        record_ops = cfg.trace and instrument.SPANS is not None
         self.timeline = Timeline(
             record_ops=record_ops,
-            max_ops=obs_trace.TIMELINE_OPS_LIMIT if record_ops else None)
+            max_ops=TIMELINE_OPS_LIMIT if record_ops else None)
         self.dma = DMAEngine(self.timeline, self.model, pinned=cfg.pinned_host)
         self.fabric = MemoryFabric(cfg.external_pools,
                                    pinned=cfg.pinned_host)
@@ -696,12 +700,12 @@ class Executor:
             raise TypeError(
                 "infer mode runs no backward pass, so the optimizer "
                 "would never step; drop it or use a train-mode session")
-        # the per-iteration obs hook: disarmed (trace=None, no tracer)
-        # costs one attribute load + one global load + `is None`;
-        # trace=False short-circuits even that (the control arm the
+        # the per-iteration obs hook: disarmed (spans not armed) costs
+        # one attribute load + one global load + `is None`; trace=False
+        # short-circuits even that (the control arm the
         # bench_steady_state overhead gate compares against)
-        tracer = obs_trace.ACTIVE if self._obs_enabled else None
-        wall0 = tracer.clock() if tracer is not None else 0.0
+        spans = instrument.SPANS if self._obs_enabled else None
+        wall0 = spans.clock() if spans is not None else 0.0
         ctx = self._ctx
         replaying = False
         if self._replay_enabled:
@@ -748,10 +752,10 @@ class Executor:
         # SoftmaxLoss objects would race under concurrent sessions)
         loss = ctx.layer_ctx.last_loss
         hits1, miss1, ev1 = self._cache_counters()
-        if tracer is not None:
-            tracer.emit(
-                "iteration", cat="engine", start=wall0,
-                end=tracer.clock(),
+        if spans is not None:
+            obs_trace.emit(
+                spans, "iteration", cat="engine", start=wall0,
+                end=spans.clock(),
                 attrs={"net": self.net.name, "mode": self.mode,
                        "iteration": iteration, "replayed": replaying,
                        "sim_time": round(self.timeline.elapsed - t0, 9),

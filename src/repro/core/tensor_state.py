@@ -112,7 +112,7 @@ class SessionTensorState:
             old = self._placement.get(t.tensor_id, Placement.UNALLOCATED)
             if old is not p and (old, p) not in ALLOWED_TRANSITIONS:
                 raise IllegalPlacementTransition(t, old, p)
-        if _ins.ACTIVE is not None:  # a foreign-thread write here IS a race
+        if _ins.SYNC is not None:  # a foreign-thread write here IS a race
             _ins.trace_write(self, "tensor_state.placement", t.name)
         self._placement[t.tensor_id] = p
 
@@ -131,12 +131,12 @@ class SessionTensorState:
     def lock(self, t: Tensor) -> None:
         """Pin ``t`` for the duration of a kernel: the LRU cache must
         not evict it (paper Alg. 2, ``T.Lock``)."""
-        if _ins.ACTIVE is not None:
+        if _ins.SYNC is not None:
             _ins.trace_write(self, "tensor_state.locked", t.name)
         self._locked.add(t.tensor_id)
 
     def unlock(self, t: Tensor) -> None:
-        if _ins.ACTIVE is not None:
+        if _ins.SYNC is not None:
             _ins.trace_write(self, "tensor_state.locked", t.name)
         self._locked.discard(t.tensor_id)
 
@@ -152,7 +152,7 @@ class SessionTensorState:
         return t.tensor_id in self._host
 
     def set_host_resident(self, t: Tensor, resident: bool) -> None:
-        if _ins.ACTIVE is not None:
+        if _ins.SYNC is not None:
             _ins.trace_write(self, "tensor_state.host", t.name)
         if resident:
             self._host.add(t.tensor_id)

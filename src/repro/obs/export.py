@@ -33,7 +33,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.trace import Span, Tracer
+from repro.check.instrument import EventLog
+from repro.obs.trace import Span, spans
 
 #: JSON-schema (draft-ish subset) for one trace event — the obs-smoke
 #: CI job validates every emitted event against this shape
@@ -130,7 +131,8 @@ def _span_events(spans: Sequence[Span]) -> List[dict]:
             tid = s.trace_id
             named_tids.setdefault(tid, f"request {s.trace_id}")
         else:
-            # other categories track per originating thread
+            # other categories track per originating thread (the log's
+            # deduplicated key: same-named threads keep separate tracks)
             tid = thread_tids.setdefault(
                 s.thread, 10_000 + len(thread_tids))
             named_tids.setdefault(tid, f"{s.cat} [{s.thread}]")
@@ -181,7 +183,7 @@ def _timeline_events(timelines: Dict[str, Any]) -> List[dict]:
     return events
 
 
-def build_chrome_trace(tracer: Optional[Tracer] = None,
+def build_chrome_trace(log: Optional[EventLog] = None,
                        timelines: Optional[Dict[str, Any]] = None,
                        counts: Optional[Dict[str, int]] = None) -> dict:
     """Assemble the trace document (no I/O); ``counts`` is the serving
@@ -189,9 +191,9 @@ def build_chrome_trace(tracer: Optional[Tracer] = None,
     validator checks the root spans against."""
     events: List[dict] = []
     other: Dict[str, Any] = {}
-    if tracer is not None:
-        events.extend(_span_events(tracer.spans()))
-        if tracer.truncated:
+    if log is not None:
+        events.extend(_span_events(spans(log)))
+        if log.truncated:
             other["spans_truncated"] = True
     if timelines:
         events.extend(_timeline_events(timelines))
@@ -204,12 +206,12 @@ def build_chrome_trace(tracer: Optional[Tracer] = None,
     return doc
 
 
-def export_chrome_trace(path, tracer: Optional[Tracer] = None,
+def export_chrome_trace(path, log: Optional[EventLog] = None,
                         timelines: Optional[Dict[str, Any]] = None,
                         counts: Optional[Dict[str, int]] = None) -> dict:
     """Build, validate, and write ``trace.json``; raises ``ValueError``
     on a malformed document (exporting garbage would defeat the point)."""
-    doc = build_chrome_trace(tracer, timelines=timelines, counts=counts)
+    doc = build_chrome_trace(log, timelines=timelines, counts=counts)
     problems = validate_trace(doc)
     if problems:
         raise ValueError("refusing to export an invalid trace:\n  "

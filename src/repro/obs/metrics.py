@@ -38,6 +38,23 @@ from repro.check.instrument import TracedLock
 HISTOGRAM_WINDOW = 8192
 
 
+def summarize(samples, scale: float = 1.0) -> Dict[str, float]:
+    """mean/p50/p95/p99/max of ``samples`` times ``scale`` (all zero
+    when empty).  Scaling happens before the percentiles, so a
+    seconds window summarized with ``scale=1e3`` reads in ms."""
+    if not samples:
+        return {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
+                "max": 0.0}
+    arr = np.asarray(samples) * scale
+    return {
+        "mean": float(arr.mean()),
+        "p50": float(np.percentile(arr, 50)),
+        "p95": float(np.percentile(arr, 95)),
+        "p99": float(np.percentile(arr, 99)),
+        "max": float(arr.max()),
+    }
+
+
 class Counter:
     """Monotonic event count (``inc`` only goes up)."""
 
@@ -106,19 +123,7 @@ class Histogram:
         with self._lock:
             samples = list(self._window)
             count, total = self._count, self._sum
-        if not samples:
-            return {"count": count, "sum": total, "mean": 0.0,
-                    "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
-        arr = np.asarray(samples)
-        return {
-            "count": count,
-            "sum": total,
-            "mean": float(arr.mean()),
-            "p50": float(np.percentile(arr, 50)),
-            "p95": float(np.percentile(arr, 95)),
-            "p99": float(np.percentile(arr, 99)),
-            "max": float(arr.max()),
-        }
+        return {"count": count, "sum": total, **summarize(samples)}
 
     @property
     def value(self) -> Dict[str, float]:
@@ -254,7 +259,3 @@ class MetricsRegistry:
                 lines.append(f"{name}: {inst.value}")
         return "\n".join(lines)
 
-
-#: the process registry (subsystems may also build private ones in
-#: tests — every method works the same on a fresh instance)
-REGISTRY = MetricsRegistry()

@@ -14,7 +14,7 @@ and snapshots itself automatically when something goes wrong:
 * ``InferenceServer.stop`` found stuck workers.
 
 A dump captures the ring plus the most recent spans of the armed
-tracer (if any).  Dumps are kept in a bounded in-memory deque for
+span log (if any).  Dumps are kept in a bounded in-memory deque for
 post-mortem inspection (``RECORDER.dumps``); set ``REPRO_FLIGHT_DIR``
 (or :attr:`FlightRecorder.dump_dir`) to also write each one to a JSON
 file.
@@ -29,8 +29,9 @@ from collections import deque
 from time import monotonic
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.check.instrument import TracedLock
-from repro.obs import trace as obs_trace
+from repro.check import instrument
+from repro.check.instrument import EventLog, TracedLock
+from repro.obs.trace import spans
 
 DUMP_DIR_ENV = "REPRO_FLIGHT_DIR"
 
@@ -82,12 +83,12 @@ class FlightRecorder:
             self.dump("shed-burst")
 
     # -- dumping ----------------------------------------------------------
-    def dump(self, reason: str,
-             tracer: Optional["obs_trace.Tracer"] = None) -> dict:
-        """Snapshot the ring (+ recent spans of the active tracer) into
-        ``self.dumps``; also writes ``flight-<n>-<reason>.json`` when a
-        dump directory is configured."""
-        tracer = tracer if tracer is not None else obs_trace.ACTIVE
+    def dump(self, reason: str, log: Optional[EventLog] = None) -> dict:
+        """Snapshot the ring (+ recent spans of ``log``, default the
+        armed span log) into ``self.dumps``; also writes
+        ``flight-<n>-<reason>.json`` when a dump directory is
+        configured."""
+        log = log if log is not None else instrument.SPANS
         with self._lock:
             events = list(self._ring)
             dump_id = next(self._dump_ids)
@@ -97,13 +98,13 @@ class FlightRecorder:
             "t": self.clock(),
             "events": events,
         }
-        if tracer is not None:
+        if log is not None:
             record["spans"] = [
                 {"name": s.name, "cat": s.cat, "trace": s.trace_id,
                  "span": s.span_id, "parent": s.parent_id,
                  "start": s.start, "end": s.end, "status": s.status,
                  "attrs": s.attrs}
-                for s in tracer.spans()[-DUMP_SPANS:]
+                for s in spans(log)[-DUMP_SPANS:]
             ]
         self.dumps.append(record)
         if self.dump_dir:

@@ -1,4 +1,4 @@
-"""The span tracer: one request (or iteration) = one tree of timed spans.
+"""Spans: one request (or iteration) = one tree of timed spans.
 
 A :class:`Span` is a named, timed interval with a ``trace_id`` shared by
 its whole tree and an explicit ``parent_id`` — context rides the object
@@ -6,78 +6,45 @@ its whole tree and an explicit ``parent_id`` — context rides the object
 assembling worker and the computing worker), never a thread-local,
 because the interesting trees here *cross* threads by design.
 
-Arming follows the exact discipline of
-:mod:`repro.check.instrument` (``REPRO_TRACE_SYNC``): a module-level
-:data:`ACTIVE` tracer, hooks that cost one global load + ``is None``
-when disarmed, an env knob (``REPRO_TRACE``) honored at import, a
-config knob (``RuntimeConfig.trace``) resolved at engine/executor
-construction via :func:`resolve_arm`, and a :func:`capture` context
-manager for tests.  ``RuntimeConfig.trace`` is three-state:
-
-* ``None``  — defer to the env/global arming (the disarmed-cost path);
-* ``True``  — arm the process tracer when the engine/executor builds;
-* ``False`` — suppress the executor's per-iteration hook entirely (the
-  hook-free control arm the ``bench_steady_state`` overhead gate
-  measures the disarmed path against).
-
-The tracer is bounded (:data:`DEFAULT_LIMIT` spans, ``REPRO_TRACE_LIMIT``
-to override): past the cap new spans are created but not retained, and
-:attr:`Tracer.truncated` says so — a long serving run keeps O(1) memory
-and never silently pretends the dropped spans were captured.
+Spans are records in the one bounded
+:class:`~repro.check.instrument.EventLog`: it stamps each span with its
+deduplicated thread key, numbers it, times it on its clock, and bounds
+it with its ``limit`` (past the cap spans are created but not retained,
+and ``log.truncated`` says so).  Arming is the log's too: hook sites
+read :data:`repro.check.instrument.SPANS` (one global load + ``is
+None`` when disarmed) and open spans on it with :func:`root`,
+:func:`start`, :func:`emit` or :func:`span`.  ``RuntimeConfig.trace =
+False`` compiles the executor's per-iteration hook out entirely (the
+hook-free control arm the ``bench_steady_state`` overhead gate measures
+the disarmed path against).
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import threading
 from contextlib import contextmanager
-from time import monotonic
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
-from repro.check.instrument import TracedLock
-
-#: arming knob honored at import time (mirrors ``REPRO_TRACE_SYNC``)
-TRACE_ENV = "REPRO_TRACE"
-#: span-capacity companion (mirrors ``REPRO_TRACE_SYNC_CAP``)
-CAP_ENV = "REPRO_TRACE_LIMIT"
-
-#: retained spans per tracer unless overridden — at ~200 bytes a span
-#: this bounds an armed run to tens of MB, not unbounded growth
-DEFAULT_LIMIT = 262_144
-
-#: per-stream device-timeline op records kept when tracing arms a
-#: :class:`~repro.device.timeline.Timeline` op log (the exporter merges
-#: them; an unbounded serving run must not grow the log without limit)
-TIMELINE_OPS_LIMIT = 200_000
-
-
-def default_limit() -> int:
-    raw = os.environ.get(CAP_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_LIMIT
+from repro.check.instrument import EventLog
 
 
 class Span:
     """One timed interval in a trace tree.
 
-    ``start``/``end`` are seconds on the owning tracer's clock (the
+    ``start``/``end`` are seconds on the owning log's clock (the
     serving stack injects one shared monotonic clock, so span edges and
     request timestamps live in one time base).  ``finish`` is
     idempotent — the first call wins, late calls are no-ops — because a
     split request's root can race its queue-wait child's closer.
     """
 
-    __slots__ = ("tracer", "name", "cat", "trace_id", "span_id",
+    __slots__ = ("log", "name", "cat", "trace_id", "span_id",
                  "parent_id", "start", "end", "status", "attrs",
                  "thread")
 
-    def __init__(self, tracer: "Tracer", name: str, cat: str,
+    def __init__(self, log: EventLog, name: str, cat: str,
                  trace_id: int, span_id: int, parent_id: Optional[int],
                  start: float, attrs: Optional[Dict[str, Any]]):
-        self.tracer = tracer
+        self.log = log
         self.name = name
         self.cat = cat
         self.trace_id = trace_id
@@ -87,18 +54,25 @@ class Span:
         self.end: Optional[float] = None
         self.status = "open"
         self.attrs: Dict[str, Any] = dict(attrs) if attrs else {}
-        self.thread = threading.current_thread().name
+        self.thread = ""    # the log's thread key, stamped on append
 
     def child(self, name: str, cat: Optional[str] = None,
               start: Optional[float] = None,
               attrs: Optional[Dict[str, Any]] = None) -> "Span":
-        return self.tracer.start(name, cat=cat or self.cat, parent=self,
-                                 start=start, attrs=attrs)
+        return _open(self.log, name, cat or self.cat, self.trace_id,
+                     self.span_id, start, attrs)
 
     def finish(self, end: Optional[float] = None, status: str = "ok",
                **attrs: Any) -> None:
         """Close the span (first call wins; late calls are no-ops)."""
-        self.tracer._finish(self, end, status, attrs)
+        log = self.log
+        with log.lock:
+            if self.end is not None:
+                return
+            self.end = log.clock() if end is None else end
+            self.status = status
+            if attrs:
+                self.attrs.update(attrs)
 
     @property
     def duration(self) -> float:
@@ -109,175 +83,62 @@ class Span:
                 f"id={self.span_id}, status={self.status})")
 
 
-class Tracer:
-    """Bounded, thread-safe collector of span trees.
-
-    The lock is a leaf: the tracer never acquires another lock while
-    holding it, so span hooks are safe from inside the queue monitor,
-    a request's delivery lock, or the metrics lock.
-    """
-
-    def __init__(self, clock: Callable[[], float] = monotonic,
-                 limit: Optional[int] = None):
-        self.clock = clock
-        self.limit = default_limit() if limit is None else max(1, limit)
-        self._lock = TracedLock("obs.tracer")
-        self._spans: List[Span] = []
-        self._span_ids = itertools.count(1)
-        self._trace_ids = itertools.count(1)
-        self.truncated = False
-
-    # -- creation ---------------------------------------------------------
-    def root(self, name: str, cat: str = "serve",
-             start: Optional[float] = None,
-             attrs: Optional[Dict[str, Any]] = None) -> Span:
-        """Open a new trace tree (fresh ``trace_id``, no parent)."""
-        return self._open(name, cat, next(self._trace_ids), None,
-                          start, attrs)
-
-    def start(self, name: str, cat: str = "serve",
-              parent: Optional[Span] = None,
-              start: Optional[float] = None,
-              attrs: Optional[Dict[str, Any]] = None) -> Span:
-        """Open a span; with ``parent`` it joins that tree."""
-        if parent is None:
-            return self.root(name, cat=cat, start=start, attrs=attrs)
-        return self._open(name, cat, parent.trace_id, parent.span_id,
-                          start, attrs)
-
-    def emit(self, name: str, start: float, end: float,
-             cat: str = "serve", parent: Optional[Span] = None,
-             status: str = "ok",
-             attrs: Optional[Dict[str, Any]] = None) -> Span:
-        """Record an already-finished interval in one call (the worker
-        emits per-slice compute spans after the step completed)."""
-        span = self.start(name, cat=cat, parent=parent, start=start,
-                          attrs=attrs)
-        span.finish(end=end, status=status)
-        return span
-
-    @contextmanager
-    def span(self, name: str, cat: str = "serve",
-             parent: Optional[Span] = None,
-             attrs: Optional[Dict[str, Any]] = None) -> Iterator[Span]:
-        """``with tracer.span("compile"):`` — finishes on exit, status
-        ``"error"`` (with the exception type) when the body raised."""
-        sp = self.start(name, cat=cat, parent=parent, attrs=attrs)
-        try:
-            yield sp
-        except BaseException as exc:
-            sp.finish(status="error", error=type(exc).__name__)
-            raise
-        else:
-            sp.finish()
-
-    def _open(self, name: str, cat: str, trace_id: int,
-              parent_id: Optional[int], start: Optional[float],
-              attrs: Optional[Dict[str, Any]]) -> Span:
-        span = Span(self, name, cat, trace_id, next(self._span_ids),
-                    parent_id, self.clock() if start is None else start,
-                    attrs)
-        with self._lock:
-            if len(self._spans) < self.limit:
-                self._spans.append(span)
-            else:
-                self.truncated = True
-        return span
-
-    def _finish(self, span: Span, end: Optional[float], status: str,
-                attrs: Dict[str, Any]) -> None:
-        with self._lock:
-            if span.end is not None:
-                return
-            span.end = self.clock() if end is None else end
-            span.status = status
-            if attrs:
-                span.attrs.update(attrs)
-
-    # -- reading ----------------------------------------------------------
-    def spans(self) -> List[Span]:
-        """Snapshot of the retained spans (creation order)."""
-        with self._lock:
-            return list(self._spans)
-
-    def roots(self, name: Optional[str] = None) -> List[Span]:
-        return [s for s in self.spans() if s.parent_id is None
-                and (name is None or s.name == name)]
-
-    def by_trace(self) -> Dict[int, List[Span]]:
-        trees: Dict[int, List[Span]] = {}
-        for s in self.spans():
-            trees.setdefault(s.trace_id, []).append(s)
-        return trees
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
+def _open(log: EventLog, name: str, cat: str, trace_id: int,
+          parent_id: Optional[int], start: Optional[float],
+          attrs: Optional[Dict[str, Any]]) -> Span:
+    span = Span(log, name, cat, trace_id, next(log.span_ids), parent_id,
+                log.clock() if start is None else start, attrs)
+    log.append(span)
+    return span
 
 
-# -------------------------------------------------------------- arming
-#: the process tracer; ``None`` = disarmed.  Hooks pay one global load
-#: + ``is None`` when disarmed — the REPRO_TRACE_SYNC discipline.
-ACTIVE: Optional[Tracer] = None
+def root(log: EventLog, name: str, cat: str = "serve",
+         start: Optional[float] = None,
+         attrs: Optional[Dict[str, Any]] = None) -> Span:
+    """Open a new trace tree (fresh ``trace_id``, no parent)."""
+    return _open(log, name, cat, next(log.trace_ids), None, start, attrs)
 
 
-def _env_armed() -> bool:
-    return os.environ.get(TRACE_ENV, "").strip().lower() \
-        not in ("", "0", "false", "no", "off")
+def start(log: EventLog, name: str, cat: str = "serve",
+          parent: Optional[Span] = None, start: Optional[float] = None,
+          attrs: Optional[Dict[str, Any]] = None) -> Span:
+    """Open a span; with ``parent`` it joins that tree."""
+    if parent is None:
+        return root(log, name, cat=cat, start=start, attrs=attrs)
+    return parent.child(name, cat=cat, start=start, attrs=attrs)
 
 
-def arm(tracer: Optional[Tracer] = None) -> Tracer:
-    """Install ``tracer`` (or keep/create one) as :data:`ACTIVE`."""
-    global ACTIVE
-    if tracer is not None:
-        ACTIVE = tracer
-    elif ACTIVE is None:
-        ACTIVE = Tracer()
-    return ACTIVE
+_start = start    # emit's ``start`` argument shadows the function
 
 
-def disarm() -> Optional[Tracer]:
-    """Disarm; returns the tracer that was active (for inspection)."""
-    global ACTIVE
-    tracer, ACTIVE = ACTIVE, None
-    return tracer
-
-
-def armed() -> bool:
-    return ACTIVE is not None
-
-
-def active_tracer() -> Optional[Tracer]:
-    return ACTIVE
-
-
-def resolve_arm(flag: Optional[bool],
-                limit: Optional[int] = None) -> None:
-    """Resolve a config's three-state ``trace`` knob (engine/executor
-    construction).  ``True`` arms (and applies ``limit``); ``False`` and
-    ``None`` leave the global state alone — ``False`` only suppresses
-    that executor's own hooks, it must not disarm a tracer some other
-    engine armed."""
-    if flag:
-        tracer = arm()
-        if limit is not None:
-            tracer.limit = max(1, int(limit))
+def emit(log: EventLog, name: str, start: float, end: float,
+         cat: str = "serve", parent: Optional[Span] = None,
+         status: str = "ok",
+         attrs: Optional[Dict[str, Any]] = None) -> Span:
+    """Record an already-finished interval in one call (the worker
+    emits per-slice compute spans after the step completed)."""
+    sp = _start(log, name, cat=cat, parent=parent, start=start,
+                attrs=attrs)
+    sp.finish(end=end, status=status)
+    return sp
 
 
 @contextmanager
-def capture(limit: Optional[int] = None,
-            clock: Callable[[], float] = monotonic) -> Iterator[Tracer]:
-    """Arm a fresh tracer for the block, restoring the prior state on
-    exit — the test-suite entry point."""
-    global ACTIVE
-    prev = ACTIVE
-    tracer = Tracer(clock=clock, limit=limit)
-    ACTIVE = tracer
+def span(log: EventLog, name: str, cat: str = "serve",
+         parent: Optional[Span] = None,
+         attrs: Optional[Dict[str, Any]] = None) -> Iterator[Span]:
+    """``with span(log, "compile"):`` — finishes on exit, status
+    ``"error"`` (with the exception type) when the body raised."""
+    sp = start(log, name, cat=cat, parent=parent, attrs=attrs)
     try:
-        yield tracer
-    finally:
-        ACTIVE = prev
+        yield sp
+    except BaseException as exc:
+        sp.finish(status="error", error=type(exc).__name__)
+        raise
+    else:
+        sp.finish()
 
 
-if _env_armed():  # honor REPRO_TRACE=1 at import, like REPRO_TRACE_SYNC
-    arm()
+def spans(log: EventLog) -> List[Span]:
+    """Snapshot of the log's retained spans (creation order)."""
+    return log.records(Span)

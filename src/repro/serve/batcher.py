@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
+from repro.check import instrument
 from repro.check.instrument import channel_recv, channel_send
 from repro.obs import trace as obs_trace
 from repro.serve.queue import (
@@ -376,13 +377,13 @@ class DynamicBatcher:
                          "batcher.publish")
             self._next_batch_id += 1
         self.batches_assembled += len(plans)
-        tracer = obs_trace.ACTIVE
-        if tracer is not None:
+        log = instrument.SPANS
+        if log is not None:
             # the padding decision, as its own tree: which requests
             # rode this round, how many batches, what was wasted
             rows = sum(r.size for r in pending)
-            tracer.emit(
-                "batcher.round", cat="serve.batcher",
+            obs_trace.emit(
+                log, "batcher.round", cat="serve.batcher",
                 start=now, end=self.clock(),
                 attrs={"requests": len(pending), "rows": rows,
                        "batches": len(plans),

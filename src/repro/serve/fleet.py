@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.check import instrument
 from repro.core.engine import Engine
 from repro.obs import trace as obs_trace
 from repro.obs.recorder import RECORDER
@@ -173,16 +174,16 @@ class ServingFleet:
             sample_shape = data.shape[1:]
         elif size is None:
             raise ValueError("submit needs data rows or an explicit size")
-        tracer = obs_trace.ACTIVE
+        log = instrument.SPANS
         span = None
-        if tracer is not None:
+        if log is not None:
             # the fleet is the front door: one root span per offered
             # request, whatever lane (if any) admits it — the root
             # count is exactly the offered count, so completed +
             # failed + shed partition the roots.  The route child
             # covers only the router's ordering pass; it closes before
             # any lane can admit (so it can never outlive its root).
-            span = tracer.root("request", attrs={
+            span = obs_trace.root(log, "request", attrs={
                 "size": size, "priority": priority})
             route_span = span.child("route")
             order = self.router.route(size, sample_shape)

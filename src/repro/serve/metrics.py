@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.check.instrument import TracedLock, trace_read, trace_write
+from repro.obs.metrics import summarize
 from repro.serve.batcher import AssembledBatch
 from repro.serve.queue import PRIORITIES, InferenceRequest
 
@@ -36,20 +37,6 @@ from repro.serve.queue import PRIORITIES, InferenceRequest
 #: server left up for days holds O(1) memory and the percentiles
 #: describe *recent* traffic (the counters stay lifetime-exact)
 LATENCY_WINDOW = 65536
-
-
-def _stats_ms(samples) -> Dict[str, float]:
-    if not samples:
-        return {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
-                "max": 0.0}
-    arr = np.asarray(samples) * 1e3
-    return {
-        "mean": float(arr.mean()),
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
-        "p99": float(np.percentile(arr, 99)),
-        "max": float(arr.max()),
-    }
 
 
 class ServerMetrics:
@@ -221,17 +208,17 @@ class ServerMetrics:
                     "shed_samples": self.shed_samples,
                     "shed_rate":
                         self.shed / offered if offered else 0.0,
-                    "latency_ms": _stats_ms(self._total_lat),
-                    "queue_ms": _stats_ms(self._queue_lat),
-                    "compute_ms": _stats_ms(self._compute_lat),
-                    "failed_ms": _stats_ms(self._failed_lat),
+                    "latency_ms": summarize(self._total_lat, 1e3),
+                    "queue_ms": summarize(self._queue_lat, 1e3),
+                    "compute_ms": summarize(self._compute_lat, 1e3),
+                    "failed_ms": summarize(self._failed_lat, 1e3),
                 },
                 "classes": {
                     c: {
                         "completed": self._class_completed[c],
                         "failed": self._class_failed[c],
                         "shed": self._class_shed[c],
-                        "latency_ms": _stats_ms(self._class_lat[c]),
+                        "latency_ms": summarize(self._class_lat[c], 1e3),
                     }
                     for c in PRIORITIES
                 },
@@ -414,8 +401,8 @@ class FleetMetrics:
                 "failed": sum(e["classes"][c]["failed"]
                               for e in engines.values()),
                 "shed": class_shed[c],
-                "latency_ms": _stats_ms(
-                    [x for s in snaps for x in s["classes"][c]]),
+                "latency_ms": summarize(
+                    [x for s in snaps for x in s["classes"][c]], 1e3),
             }
         return {
             "engines": engines,
@@ -427,10 +414,10 @@ class FleetMetrics:
                     "samples": samples,
                     "shed_samples": shed_samples,
                     "shed_rate": shed / offered if offered else 0.0,
-                    "latency_ms": _stats_ms(merged["total"]),
-                    "queue_ms": _stats_ms(merged["queue"]),
-                    "compute_ms": _stats_ms(merged["compute"]),
-                    "failed_ms": _stats_ms(merged["failed"]),
+                    "latency_ms": summarize(merged["total"], 1e3),
+                    "queue_ms": summarize(merged["queue"], 1e3),
+                    "compute_ms": summarize(merged["compute"], 1e3),
+                    "failed_ms": summarize(merged["failed"], 1e3),
                 },
                 "classes": classes,
                 "routed": routed,

@@ -130,7 +130,7 @@ class InferenceRequest:
         self._remaining = 0
         # observability (repro.obs): the request's root span and its
         # queue-wait child, attached by the submit front door when the
-        # tracer is armed.  Both close under _lock (deliver/fail/
+        # spans are armed.  Both close under _lock (deliver/fail/
         # mark_dispatched already serialize there), so the span tree is
         # finished exactly once whatever the slice interleaving.
         self.span = None           # root "request" span

@@ -28,6 +28,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from repro.check import instrument
 from repro.check.instrument import TracedLock, TracedThread, trace_read
 from repro.core.engine import Engine
 from repro.obs import trace as obs_trace
@@ -255,9 +256,9 @@ class InferenceServer:
         shed and re-raises :class:`RequestRejected`.
         """
         rows = self._check_payload(data, size)
-        tracer = obs_trace.ACTIVE
-        span = None if tracer is None else tracer.root(
-            "request", attrs={"size": rows, "priority": priority,
+        log = instrument.SPANS
+        span = None if log is None else obs_trace.root(
+            log, "request", attrs={"size": rows, "priority": priority,
                               "engine": self.engine.net.name})
         try:
             req = self.queue.submit(data=data, size=size,
@@ -339,9 +340,9 @@ class InferenceServer:
         Requests still in the queue during the barrier run on the new
         weights.  Returns the number of parameter tensors installed.
         """
-        tracer = obs_trace.ACTIVE
-        barrier = None if tracer is None else tracer.root(
-            "swap.barrier", cat="serve.swap",
+        log = instrument.SPANS
+        barrier = None if log is None else obs_trace.root(
+            log, "swap.barrier", cat="serve.swap",
             attrs={"engine": self.engine.net.name})
         with self._swap_lock:
             self.batcher.pause()
@@ -424,8 +425,9 @@ class InferenceServer:
                     if s.request.span is not None:
                         # one compute span per slice, in the request's
                         # own tree (split requests show every ride)
-                        s.request.span.tracer.emit(
-                            "compute.slice", start=t0, end=now,
+                        obs_trace.emit(
+                            s.request.span.log, "compute.slice",
+                            start=t0, end=now,
                             parent=s.request.span,
                             attrs={"rows": s.rows,
                                    "part": s.part_index,

@@ -29,6 +29,7 @@ from repro.check.instrument import (
     trace_write,
 )
 from repro.check.race_detector import analyze_log
+from repro.obs import trace as obs_trace
 
 
 def _rules(report):
@@ -63,17 +64,36 @@ class _Shared:
     pass
 
 
+def _open_and_finish_span():
+    log = instrument.SPANS
+    if log is not None:
+        obs_trace.root(log, "fixture.span").finish()
+
+
 def test_race001_unordered_write_write():
-    obj = _Shared()
-    with capture() as log:
-        _two_threads(lambda: trace_write(obj, "shared.counter"),
-                     lambda: trace_write(obj, "shared.counter"))
-    report = analyze_log(log)
-    assert _rules(report) == ["RACE001"]
-    (d,) = report.diagnostics
-    assert d.severity == "error"
-    assert "write-write" in d.message
-    assert "fixture-a" in d.op and "fixture-b" in d.op
+    # second case: spans armed into the same log, each thread opening
+    # and finishing a span between the two writes — span appends take
+    # only the log's raw lock, so they must not order the writes
+    for cats in (("sync",), ("sync", "span")):
+        obj = _Shared()
+
+        def first():
+            trace_write(obj, "shared.counter")
+            _open_and_finish_span()
+
+        def then():
+            _open_and_finish_span()
+            trace_write(obj, "shared.counter")
+
+        with capture(*cats) as log:
+            _two_threads(first, then)
+        report = analyze_log(log)
+        assert _rules(report) == ["RACE001"], cats
+        (d,) = report.diagnostics
+        assert d.severity == "error"
+        assert "write-write" in d.message
+        assert "fixture-a" in d.op and "fixture-b" in d.op
+        assert len(obs_trace.spans(log)) == (2 if "span" in cats else 0)
 
 
 def test_race001_locked_write_vs_unlocked_read():
@@ -84,7 +104,7 @@ def test_race001_locked_write_vs_unlocked_read():
         with lock:
             trace_write(obj, "shared.field")
 
-    with capture() as log:
+    with capture("sync") as log:
         _two_threads(write, lambda: trace_read(obj, "shared.field"))
     report = analyze_log(log)
     # the writer synchronized (lockset non-empty) but the reader did
@@ -94,7 +114,7 @@ def test_race001_locked_write_vs_unlocked_read():
 
 def test_race001_read_then_unordered_write():
     obj = _Shared()
-    with capture() as log:
+    with capture("sync") as log:
         _two_threads(lambda: trace_read(obj, "shared.field"),
                      lambda: trace_write(obj, "shared.field"))
     report = analyze_log(log)
@@ -114,7 +134,7 @@ def test_clean_event_ordering_passes():
         assert ev.wait(10)
         trace_read(obj, "shared.field")
 
-    with capture() as log:
+    with capture("sync") as log:
         _two_threads(write, read)
     assert analyze_log(log).ok
 
@@ -130,7 +150,7 @@ def test_clean_channel_ordering_passes():
         channel_recv("tok", "fixture.chan")
         trace_read(obj, "shared.field")
 
-    with capture() as log:
+    with capture("sync") as log:
         _two_threads(write, read)
     assert analyze_log(log).ok
 
@@ -147,14 +167,14 @@ def test_clean_common_lock_passes():
         with lock:
             trace_read(obj, "shared.field")
 
-    with capture() as log:
+    with capture("sync") as log:
         _two_threads(write, read)
     assert analyze_log(log).ok
 
 
 def test_traced_thread_spawn_and_join_edges():
     obj = _Shared()
-    with capture() as log:
+    with capture("sync") as log:
         trace_write(obj, "shared.field")      # parent, before spawn
         t = TracedThread(target=lambda: trace_write(obj, "shared.field"),
                          name="fixture-child")
@@ -166,7 +186,7 @@ def test_traced_thread_spawn_and_join_edges():
 
 def test_same_thread_accesses_never_race():
     obj = _Shared()
-    with capture() as log:
+    with capture("sync") as log:
         trace_write(obj, "shared.field")
         trace_write(obj, "shared.field")
         trace_read(obj, "shared.field")
@@ -183,7 +203,7 @@ def test_race002_lock_order_inversion():
     # threads taking the orders concurrently
     a = TracedLock("lock.a")
     b = TracedLock("lock.b")
-    with capture() as log:
+    with capture("sync") as log:
         with a:
             with b:
                 pass
@@ -199,7 +219,7 @@ def test_race002_lock_order_inversion():
 
 def test_race002_three_lock_cycle():
     a, b, c = (TracedLock(f"lock.{x}") for x in "abc")
-    with capture() as log:
+    with capture("sync") as log:
         with a, b:
             pass
         with b, c:
@@ -213,7 +233,7 @@ def test_race002_three_lock_cycle():
 def test_consistent_lock_order_passes():
     a = TracedLock("lock.a")
     b = TracedLock("lock.b")
-    with capture() as log:
+    with capture("sync") as log:
         for _ in range(3):
             with a:
                 with b:
@@ -227,7 +247,7 @@ def test_consistent_lock_order_passes():
 
 def test_race003_unsynchronized_publish():
     obj = _Shared()
-    with capture() as log:
+    with capture("sync") as log:
         _two_threads(lambda: trace_write(obj, "shared.config"),
                      lambda: trace_read(obj, "shared.config"))
     report = analyze_log(log)
@@ -246,10 +266,10 @@ def test_race003_and_race001_are_mutually_exclusive():
         with lock:
             trace_write(obj, "shared.field")
 
-    with capture() as log_unlocked:
+    with capture("sync") as log_unlocked:
         _two_threads(lambda: trace_write(obj, "shared.field"),
                      lambda: trace_read(obj, "shared.field"))
-    with capture() as log_locked:
+    with capture("sync") as log_locked:
         _two_threads(locked_write,
                      lambda: trace_read(obj, "shared.field"))
     assert _rules(analyze_log(log_unlocked)) == ["RACE003"]
@@ -263,7 +283,7 @@ def test_race003_and_race001_are_mutually_exclusive():
 def test_race004_lock_held_across_condition_wait():
     lock = TracedLock("fixture.outer")
     cond = TracedCondition("fixture.cond")
-    with capture() as log:
+    with capture("sync") as log:
         with lock:
             with cond:
                 cond.wait(timeout=0.01)
@@ -276,7 +296,7 @@ def test_race004_lock_held_across_condition_wait():
 def test_race004_lock_held_across_event_wait():
     lock = TracedLock("fixture.outer")
     ev = TracedEvent("fixture.ev")
-    with capture() as log:
+    with capture("sync") as log:
         with lock:
             ev.wait(timeout=0.01)
     report = analyze_log(log)
@@ -288,7 +308,7 @@ def test_race004_gate_lock_exempt():
     # it across the drain barrier IS the design
     gate = TracedLock("fixture.swap", gate=True)
     cond = TracedCondition("fixture.cond")
-    with capture() as log:
+    with capture("sync") as log:
         with gate:
             with cond:
                 cond.wait(timeout=0.01)
@@ -297,7 +317,7 @@ def test_race004_gate_lock_exempt():
 
 def test_race004_own_monitor_is_not_a_held_lock():
     cond = TracedCondition("fixture.cond")
-    with capture() as log:
+    with capture("sync") as log:
         with cond:
             cond.wait(timeout=0.01)
     assert analyze_log(log).ok
@@ -309,7 +329,7 @@ def test_race004_own_monitor_is_not_a_held_lock():
 
 def test_race005_truncated_log_warns():
     obj = _Shared()
-    with capture(limit=3) as log:
+    with capture("sync", limit=3) as log:
         for _ in range(10):
             trace_write(obj, "shared.field")
     assert log.truncated
@@ -349,7 +369,7 @@ def test_condition_wait_handoff_orders_accesses():
             ready.append(True)
             cond.notify_all()
 
-    with capture() as log:
+    with capture("sync") as log:
         tc = threading.Thread(target=consumer, name="consumer")
         tc.start()
         import time
@@ -366,7 +386,7 @@ def test_condition_wait_handoff_orders_accesses():
 # --------------------------------------------------------------------------- #
 
 def test_disarmed_hooks_record_nothing():
-    assert not instrument.armed()
+    assert instrument.SYNC is None and instrument.SPANS is None
     obj = _Shared()
     lock = TracedLock("quiet")
     ev = TracedEvent("quiet")
@@ -374,35 +394,38 @@ def test_disarmed_hooks_record_nothing():
         trace_write(obj, "shared")
     ev.set()
     assert ev.wait(1)
-    assert instrument.active_log() is None
+    assert instrument.SYNC is None
 
 
 def test_capture_restores_previous_state():
-    assert not instrument.armed()
-    with capture() as log:
-        assert instrument.active_log() is log
-        with capture() as inner:
-            assert instrument.active_log() is inner
-        assert instrument.active_log() is log
-    assert not instrument.armed()
+    assert instrument.SYNC is None and instrument.SPANS is None
+    with capture("sync") as log:
+        assert instrument.SYNC is log and instrument.SPANS is None
+        with capture("sync", "span") as inner:
+            assert instrument.SYNC is inner and instrument.SPANS is inner
+        with capture():               # no category: the block is disarmed
+            assert instrument.SYNC is None
+        assert instrument.SYNC is log and instrument.SPANS is None
+    assert instrument.SYNC is None and instrument.SPANS is None
 
 
-def test_trace_sync_config_arms(monkeypatch):
-    from repro.core.config import RuntimeConfig
-    from repro.core.engine import Engine
-    from repro.zoo import lenet
-
-    prev = instrument.disarm()
+def test_arm_publishes_exactly_the_named_categories():
     try:
-        Engine(lenet(batch=2), RuntimeConfig(concrete=False))
-        assert not instrument.armed()   # None defers; env not set here
-        Engine(lenet(batch=2),
-               RuntimeConfig(concrete=False, trace_sync=True))
-        assert instrument.armed()
+        spans_only = instrument.arm("span")
+        assert instrument.SPANS is spans_only and instrument.SYNC is None
+        both = instrument.arm("sync", "span")
+        assert instrument.SYNC is both and instrument.SPANS is both
     finally:
-        instrument.disarm()
-        if prev is not None:
-            instrument.arm(prev)
+        disarmed = instrument.disarm()
+    assert disarmed is both
+    assert instrument.SYNC is None and instrument.SPANS is None
+
+
+def test_unknown_category_raises():
+    with pytest.raises(ValueError, match="'spans'"):
+        with capture("sync", "spans"):
+            pass
+    assert instrument.SYNC is None
 
 
 def test_thread_key_dedupes_same_name():
@@ -463,7 +486,7 @@ def test_inverted_swap_barrier_would_be_caught():
     inversion — the regression the RACE002 rule exists for."""
     swap = TracedLock("server.swap.bad")  # NOT a gate: misdeclared
     cond = TracedCondition("serve.queue")
-    with capture() as log:
+    with capture("sync") as log:
         # worker order: monitor -> swap
         with cond:
             with swap:

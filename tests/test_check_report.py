@@ -1,13 +1,12 @@
 """The unified check-report contract (ISSUE 8 satellite): one JSON
 artifact schema across ``check plan|lint|race|cost``, report merging,
-the shared ``--fail-on`` exit-code ladder, and the event-log capacity
-knob (``REPRO_TRACE_SYNC_CAP`` / ``RuntimeConfig.trace_sync_cap``)."""
+the shared ``--fail-on`` exit-code ladder, the event-log capacity, and
+the ``REPRO_TRACE`` category switch."""
 
 import json
 
 import pytest
 
-from repro.check import instrument
 from repro.check.diagnostics import (
     ALL_RULES,
     LINT_RULES,
@@ -20,11 +19,10 @@ from repro.check.diagnostics import (
     Diagnostic,
 )
 from repro.check.instrument import (
-    CAP_ENV,
     DEFAULT_LIMIT,
+    TRACE_ENV,
     EventLog,
-    default_limit,
-    resolve_arm,
+    env_categories,
 )
 from repro.cli import main
 
@@ -182,23 +180,23 @@ class TestFailOn:
 
 
 # --------------------------------------------------------------------------- #
-# event-log capacity: REPRO_TRACE_SYNC_CAP / trace_sync_cap
+# event-log capacity + the REPRO_TRACE category switch
 # --------------------------------------------------------------------------- #
 class TestTraceCap:
-    def test_default_limit_without_env(self, monkeypatch):
-        monkeypatch.delenv(CAP_ENV, raising=False)
-        assert default_limit() == DEFAULT_LIMIT
-
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(CAP_ENV, "500")
-        assert default_limit() == 500
-        assert EventLog().limit == 500
+    def test_default_limit_without_env(self):
+        assert EventLog().limit == DEFAULT_LIMIT == 2_000_000
 
     @pytest.mark.parametrize("raw", ["zero", "0", "-3", "1.5"])
     def test_bad_env_value_raises(self, monkeypatch, raw):
-        monkeypatch.setenv(CAP_ENV, raw)
-        with pytest.raises(ValueError, match=CAP_ENV):
-            default_limit()
+        monkeypatch.setenv(TRACE_ENV, f"sync,{raw}")
+        with pytest.raises(ValueError, match=TRACE_ENV):
+            env_categories()
+
+    def test_env_names_categories(self, monkeypatch):
+        monkeypatch.setenv(TRACE_ENV, " span , sync ,")
+        assert env_categories() == ("span", "sync")
+        monkeypatch.setenv(TRACE_ENV, "")
+        assert env_categories() == ()
 
     def test_log_truncates_at_cap_and_flags_it(self):
         log = EventLog(limit=3)
@@ -206,39 +204,3 @@ class TestTraceCap:
             log.record("write", 1, "x")
         assert len(log) == 3
         assert log.truncated
-
-    def test_resolve_arm_caps_a_fresh_log(self):
-        prev = instrument.ACTIVE
-        instrument.ACTIVE = None
-        try:
-            resolve_arm(True, cap=42)
-            assert instrument.ACTIVE.limit == 42
-        finally:
-            instrument.ACTIVE = prev
-
-    def test_resolve_arm_recaps_an_armed_log(self):
-        prev = instrument.ACTIVE
-        instrument.ACTIVE = EventLog(limit=100)
-        try:
-            resolve_arm(True, cap=7)
-            assert instrument.ACTIVE.limit == 7
-            resolve_arm(None, cap=99)   # None leaves arming state alone
-            assert instrument.ACTIVE.limit == 7
-        finally:
-            instrument.ACTIVE = prev
-
-    def test_engine_config_cap_reaches_the_log(self):
-        from repro.core.config import RuntimeConfig
-        from repro.core.engine import Engine
-        from repro.zoo import NETWORK_BUILDERS
-
-        prev = instrument.ACTIVE
-        instrument.ACTIVE = None
-        try:
-            Engine(NETWORK_BUILDERS["lenet"](batch=4),
-                   RuntimeConfig(concrete=False, trace_sync=True,
-                                 trace_sync_cap=1234))
-            assert instrument.ACTIVE is not None
-            assert instrument.ACTIVE.limit == 1234
-        finally:
-            instrument.ACTIVE = prev

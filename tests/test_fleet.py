@@ -22,6 +22,7 @@ import pytest
 
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
+from repro.obs.metrics import summarize
 from repro.serve import (
     COALESCER_REGISTRY,
     BoundedRequestQueue,
@@ -32,7 +33,7 @@ from repro.serve import (
     ServingFleet,
 )
 from repro.serve.batcher import DeadlineCoalescer
-from repro.serve.metrics import FleetMetrics, ServerMetrics, _stats_ms
+from repro.serve.metrics import FleetMetrics, ServerMetrics
 from repro.serve.queue import InferenceRequest
 from repro.serve.router import (
     request_fill,
@@ -302,9 +303,10 @@ class TestDeadlineCoalescer:
 # --------------------------------------------------------------------------
 class TestMetrics:
     def test_stats_include_p99(self):
-        s = _stats_ms([i / 1000.0 for i in range(1, 101)])
+        s = summarize([i / 1000.0 for i in range(1, 101)], 1e3)
         assert s["p50"] <= s["p95"] <= s["p99"] <= s["max"]
-        assert _stats_ms([])["p99"] == 0.0
+        assert s["max"] == pytest.approx(100.0)   # scaled to ms
+        assert summarize([])["p99"] == 0.0
 
     def test_failed_requests_land_in_failed_window(self):
         m = ServerMetrics()

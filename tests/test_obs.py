@@ -25,9 +25,11 @@ import time
 
 import pytest
 
+from repro.check import instrument
+from repro.check.instrument import EventLog
 from repro.core.config import RuntimeConfig
 from repro.core.engine import Engine
-from repro.core.runtime import Executor
+from repro.core.runtime import TIMELINE_OPS_LIMIT, Executor
 from repro.obs import trace as obs_trace
 from repro.obs.export import (
     build_chrome_trace,
@@ -37,7 +39,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import FlightRecorder
-from repro.obs.trace import Tracer
 from repro.serve import InferenceServer, RequestRejected, ServingFleet
 from repro.serve.metrics import render_slo_report
 from repro.zoo import NETWORK_BUILDERS
@@ -48,32 +49,44 @@ def make_engine(batch=4, net="lenet") -> Engine:
                   RuntimeConfig.superneurons(concrete=False))
 
 
+def roots_named(log, name):
+    return [s for s in obs_trace.spans(log)
+            if s.parent_id is None and s.name == name]
+
+
+def by_trace(log):
+    trees = {}
+    for s in obs_trace.spans(log):
+        trees.setdefault(s.trace_id, []).append(s)
+    return trees
+
+
 # --------------------------------------------------------------------------
-# tracer primitives
+# span primitives
 # --------------------------------------------------------------------------
 class TestTracer:
     def test_root_and_children_share_trace_id(self):
-        tr = Tracer()
-        root = tr.root("request")
+        tr = EventLog()
+        root = obs_trace.root(tr, "request")
         child = root.child("queue.wait")
         grand = child.child("deeper")
         assert root.trace_id == child.trace_id == grand.trace_id
         assert child.parent_id == root.span_id
         assert root.parent_id is None
-        other = tr.root("request")
+        other = obs_trace.root(tr, "request")
         assert other.trace_id != root.trace_id
 
     def test_finish_is_idempotent(self):
-        tr = Tracer()
-        sp = tr.root("request")
+        tr = EventLog()
+        sp = obs_trace.root(tr, "request")
         sp.finish(end=1.0, status="ok")
         sp.finish(end=9.0, status="error")   # late call: no-op
         assert sp.end == 1.0
         assert sp.status == "ok"
 
     def test_limit_bounds_retention_and_flags_truncation(self):
-        tr = Tracer(limit=3)
-        spans = [tr.root(f"s{i}") for i in range(5)]
+        tr = EventLog(limit=3)
+        spans = [obs_trace.root(tr, f"s{i}") for i in range(5)]
         assert len(tr) == 3
         assert tr.truncated
         # dropped spans still work (finish is safe, just unretained)
@@ -81,41 +94,35 @@ class TestTracer:
         assert spans[-1].status == "ok"
 
     def test_span_context_manager_records_errors(self):
-        tr = Tracer()
+        tr = EventLog()
         with pytest.raises(ValueError):
-            with tr.span("compile"):
+            with obs_trace.span(tr, "compile"):
                 raise ValueError("boom")
-        (sp,) = tr.spans()
+        (sp,) = obs_trace.spans(tr)
         assert sp.status == "error"
         assert sp.attrs["error"] == "ValueError"
 
     def test_emit_records_closed_interval(self):
-        tr = Tracer()
-        sp = tr.emit("compute.slice", start=1.0, end=2.5)
+        tr = EventLog()
+        sp = obs_trace.emit(tr, "compute.slice", start=1.0, end=2.5)
         assert sp.start == 1.0 and sp.end == 2.5
         assert sp.duration == 1.5
 
     def test_capture_arms_and_restores(self):
-        prev = obs_trace.ACTIVE
-        with obs_trace.capture() as tr:
-            assert obs_trace.ACTIVE is tr
-            assert obs_trace.armed()
-        assert obs_trace.ACTIVE is prev
+        prev = instrument.SYNC, instrument.SPANS
+        with instrument.capture("span") as tr:
+            assert instrument.SPANS is tr
+            assert instrument.SYNC is None
+        assert (instrument.SYNC, instrument.SPANS) == prev
 
-    def test_resolve_arm_three_states(self):
-        prev = obs_trace.disarm()
-        try:
-            obs_trace.resolve_arm(None)
-            assert not obs_trace.armed()      # None defers
-            obs_trace.resolve_arm(False)
-            assert not obs_trace.armed()      # False never arms
-            obs_trace.resolve_arm(True, limit=7)
-            assert obs_trace.armed()
-            assert obs_trace.ACTIVE.limit == 7
-        finally:
-            obs_trace.disarm()
-            if prev is not None:
-                obs_trace.arm(prev)
+    def test_spans_share_the_log_with_sync_events(self):
+        with instrument.capture("sync", "span") as log:
+            sp = obs_trace.root(log, "request")
+            instrument.trace_write(sp, "fixture.field")
+            sp.finish()
+        assert [type(e).__name__ for e in log.events] == \
+            ["Span", "SyncEvent"]
+        assert log.events[0].thread == log.events[1].thread
 
 
 # --------------------------------------------------------------------------
@@ -200,9 +207,9 @@ class TestFlightRecorder:
     def test_dump_captures_ring_and_recent_spans(self):
         rec = FlightRecorder()
         rec.note("worker.exception", "boom", batch=7)
-        tr = Tracer()
-        tr.emit("compute.slice", start=0.0, end=1.0)
-        record = rec.dump("worker-exception", tracer=tr)
+        tr = EventLog()
+        obs_trace.emit(tr, "compute.slice", start=0.0, end=1.0)
+        record = rec.dump("worker-exception", log=tr)
         assert record["events"][-1]["kind"] == "worker.exception"
         assert record["spans"][0]["name"] == "compute.slice"
 
@@ -221,18 +228,18 @@ class TestFlightRecorder:
 # exporter + validator
 # --------------------------------------------------------------------------
 class TestChromeExport:
-    def _ok_tracer(self):
-        tr = Tracer()
-        root = tr.root("request", start=0.0)
+    def _ok_log(self):
+        tr = EventLog()
+        root = obs_trace.root(tr, "request", start=0.0)
         root.child("queue.wait", start=0.1).finish(end=0.4)
-        tr.emit("compute.slice", start=0.4, end=0.9, parent=root)
+        obs_trace.emit(tr, "compute.slice", start=0.4, end=0.9, parent=root)
         root.finish(end=1.0, status="ok")
         return tr
 
     def test_round_trip_validates(self, tmp_path):
         path = tmp_path / "trace.json"
         doc = export_chrome_trace(
-            path, self._ok_tracer(),
+            path, self._ok_log(),
             counts={"completed": 1, "failed": 0, "shed": 0})
         assert validate_trace(doc) == []
         assert validate_trace_file(path) == []
@@ -243,11 +250,11 @@ class TestChromeExport:
     def test_counts_mismatch_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="identity"):
             export_chrome_trace(
-                tmp_path / "bad.json", self._ok_tracer(),
+                tmp_path / "bad.json", self._ok_log(),
                 counts={"completed": 0, "failed": 1, "shed": 0})
 
     def test_two_roots_in_one_tree_is_invalid(self):
-        doc = build_chrome_trace(self._ok_tracer())
+        doc = build_chrome_trace(self._ok_log())
         extra = dict(doc["traceEvents"][1])
         extra["args"] = {k: v for k, v in extra["args"].items()
                         if k != "parent"}
@@ -255,8 +262,8 @@ class TestChromeExport:
         assert any("root spans" in p for p in validate_trace(doc))
 
     def test_child_outside_root_interval_is_invalid(self):
-        tr = Tracer()
-        root = tr.root("request", start=0.0)
+        tr = EventLog()
+        root = obs_trace.root(tr, "request", start=0.0)
         late = root.child("queue.wait", start=0.5)
         root.finish(end=1.0)
         late.finish(end=2.0)           # outlives its root
@@ -283,12 +290,12 @@ class TestChromeExport:
 class TestEngineTracing:
     def test_iteration_spans_when_armed(self):
         net = NETWORK_BUILDERS["lenet"](batch=4)
-        with obs_trace.capture() as tr:
+        with instrument.capture("span") as tr:
             with Executor(net, RuntimeConfig.superneurons(
                     concrete=False)) as ex:
                 ex.run_iteration(0)
                 ex.run_iteration(1)
-        spans = [s for s in tr.spans() if s.name == "iteration"]
+        spans = [s for s in obs_trace.spans(tr) if s.name == "iteration"]
         assert len(spans) == 2
         assert spans[0].cat == "engine"
         assert spans[0].attrs["net"] == "lenet"
@@ -296,29 +303,25 @@ class TestEngineTracing:
 
     def test_trace_false_suppresses_the_hook(self):
         net = NETWORK_BUILDERS["lenet"](batch=4)
-        with obs_trace.capture() as tr:
+        with instrument.capture("span") as tr:
             with Executor(net, RuntimeConfig.superneurons(
                     concrete=False, trace=False)) as ex:
                 ex.run_iteration(0)
-        assert [s for s in tr.spans() if s.name == "iteration"] == []
+        assert [s for s in obs_trace.spans(tr) if s.name == "iteration"] == []
 
     def test_timeline_ops_only_recorded_when_armed(self):
         net = NETWORK_BUILDERS["lenet"](batch=4)
-        prev = obs_trace.disarm()
-        try:
+        with instrument.capture():
             with Executor(net, RuntimeConfig.superneurons(
                     concrete=False)) as ex:
                 ex.run_iteration(0)
                 assert ex.timeline.ops() == []    # disarmed: no op log
-        finally:
-            if prev is not None:
-                obs_trace.arm(prev)
-        with obs_trace.capture():
+        with instrument.capture("span"):
             with Executor(net, RuntimeConfig.superneurons(
                     concrete=False)) as ex:
                 ex.run_iteration(0)
                 assert len(ex.timeline.ops()) > 0
-                assert ex.timeline.max_ops == obs_trace.TIMELINE_OPS_LIMIT
+                assert ex.timeline.max_ops == TIMELINE_OPS_LIMIT
 
     def test_timeline_op_log_is_bounded(self):
         from repro.device.timeline import Stream, Timeline
@@ -330,7 +333,7 @@ class TestEngineTracing:
         assert tl.ops()[0].label == "op3"    # newest window kept
 
     def test_parallel_run_session_spans(self):
-        with obs_trace.capture() as tr:
+        with instrument.capture("span") as tr:
             engine = make_engine(batch=4)
             sessions = [engine.session(mode="infer") for _ in range(2)]
             try:
@@ -338,7 +341,7 @@ class TestEngineTracing:
             finally:
                 for s in sessions:
                     s.close()
-        roots = tr.roots("session.run")
+        roots = roots_named(tr, "session.run")
         assert len(roots) == 2
         assert all(r.status == "ok" for r in roots)
         assert sorted(r.attrs["session"] for r in roots) == [0, 1]
@@ -347,7 +350,7 @@ class TestEngineTracing:
         # (the executor hook is parentless by design: it cannot know
         # which session root owns it without threading context through
         # every run_iteration call)
-        iters = [s for s in tr.spans() if s.name == "iteration"]
+        iters = [s for s in obs_trace.spans(tr) if s.name == "iteration"]
         # 2 sessions x 2 iters, plus the engine's one compile scout
         assert len(iters) == 5
 
@@ -370,7 +373,7 @@ class TestEngineTracing:
 # --------------------------------------------------------------------------
 class TestServingSpans:
     def test_server_roots_and_propagation(self):
-        with obs_trace.capture() as tr:
+        with instrument.capture("span") as tr:
             engine = make_engine(batch=4)
             server = InferenceServer(engine, workers=2,
                                      policy="greedy-fill",
@@ -379,10 +382,10 @@ class TestServingSpans:
                 for size in (1, 2, 3, 6):
                     server.submit(size=size)
                 assert server.drain(timeout=30)
-        roots = tr.roots("request")
+        roots = roots_named(tr, "request")
         assert len(roots) == 4
         assert all(r.status == "ok" for r in roots)
-        trees = tr.by_trace()
+        trees = by_trace(tr)
         for root in roots:
             names = [s.name for s in trees[root.trace_id]]
             assert "queue.wait" in names
@@ -395,7 +398,7 @@ class TestServingSpans:
         assert sorted(s.attrs["part"] for s in slices) == [0, 1]
 
     def test_fleet_identity_and_export(self, tmp_path):
-        with obs_trace.capture() as tr:
+        with instrument.capture("span") as tr:
             engines = [make_engine(batch=2), make_engine(batch=4)]
             fleet = ServingFleet(engines, workers=1, max_wait=0.001)
             with fleet:
@@ -405,7 +408,7 @@ class TestServingSpans:
                 timelines = fleet.session_timelines()
             completed, failed, shed = fleet.metrics.counts()
         assert (completed, failed, shed) == (6, 0, 0)
-        roots = tr.roots("request")
+        roots = roots_named(tr, "request")
         assert len(roots) == 6
         # route child closed before admission, lane annotated post-hoc
         assert all("lane" in r.attrs for r in roots)
@@ -416,7 +419,7 @@ class TestServingSpans:
         assert validate_trace(doc) == []
 
     def test_shed_request_root_status(self):
-        with obs_trace.capture() as tr:
+        with instrument.capture("span") as tr:
             engine = make_engine(batch=4)
             fleet = ServingFleet([engine], workers=1,
                                  max_pending_rows=4)
@@ -424,7 +427,7 @@ class TestServingSpans:
             fleet.submit(size=4)
             with pytest.raises(RequestRejected):
                 fleet.submit(size=4)
-        roots = tr.roots("request")
+        roots = roots_named(tr, "request")
         assert len(roots) == 2
         statuses = sorted(r.status for r in roots)
         assert statuses == ["open", "shed"]
@@ -433,27 +436,81 @@ class TestServingSpans:
 
     def test_probed_and_refused_lane_leaves_no_extra_roots(self):
         """Spilling to a second lane must not mint a second root."""
-        with obs_trace.capture() as tr:
+        with instrument.capture("span") as tr:
             full = make_engine(batch=4)
             spare = make_engine(batch=4)
             fleet = ServingFleet([full, spare], names=["a", "b"],
                                  workers=1, max_pending_rows=4)
             fleet.submit(size=4)     # fills one lane
             fleet.submit(size=4)     # spills to the other
-        assert len(tr.roots("request")) == 2
+        assert len(roots_named(tr, "request")) == 2
 
     def test_untraced_serving_attaches_no_spans(self):
-        prev = obs_trace.disarm()
-        try:
+        with instrument.capture():
             engine = make_engine(batch=4)
             server = InferenceServer(engine, workers=1, max_wait=0.001)
             with server:
                 fut = server.submit(size=2)
                 assert server.drain(timeout=30)
                 fut.result(timeout=5)
-        finally:
-            if prev is not None:
-                obs_trace.arm(prev)
+
+
+# --------------------------------------------------------------------------
+# one event stream: sync events and spans in one log
+# --------------------------------------------------------------------------
+class TestOneEventStream:
+    def test_fleet_lanes_keep_separate_batcher_tracks(self, tmp_path,
+                                                      capsys):
+        """Both lanes' single workers are named ``repro-serve-0``; the
+        log's deduplicated thread key keeps them on two tracks."""
+        from repro.cli import main
+        from repro.obs.export import SPAN_PID
+
+        path = tmp_path / "fleet.json"
+        rc = main(["serve", "--net", "lenet", "--fleet",
+                   "--fleet-batches", "4,8", "--workers", "1",
+                   "--rate", "200", "--duration", "1", "--timeout", "60",
+                   "--trace-out", str(path)])
+        assert rc == 0
+        doc = json.loads(path.read_text())
+        assert validate_trace(doc) == []
+        events = doc["traceEvents"]
+        tracks = {e["tid"]: e["args"]["name"] for e in events
+                  if e["name"] == "thread_name" and e["pid"] == SPAN_PID}
+        tids = {e["tid"] for e in events
+                if e.get("cat") == "serve.batcher"}
+        assert sorted(tracks[t] for t in tids) == [
+            "serve.batcher [repro-serve-0#2]",
+            "serve.batcher [repro-serve-0]"]
+
+    def test_sync_and_span_armed_together(self):
+        """One log, both readers: the race detector sees only the sync
+        records and stays clean, the exporter only the spans."""
+        from repro.check.race_detector import analyze_log
+
+        with instrument.capture("sync", "span") as log:
+            engine = make_engine(batch=4)
+            payload = engine.snapshot_params()
+            server = InferenceServer(engine, workers=2, max_wait=0.001)
+            with server:
+                futures = [server.submit(size=1 + i % 6)
+                           for i in range(20)]
+                server.swap_weights(payload, timeout=60)
+                futures += [server.submit(size=1 + i % 6)
+                            for i in range(20)]
+                for f in futures:
+                    f.result(timeout=30)
+                assert server.drain(timeout=30)
+            completed, failed, shed = server.metrics.counts()
+        assert (completed, failed, shed) == (40, 0, 0)
+        report = analyze_log(log, target="serving")
+        assert report.ok and not report.warnings, report.render()
+        assert not log.truncated
+        doc = build_chrome_trace(log, counts={
+            "completed": completed, "failed": failed, "shed": shed})
+        assert validate_trace(doc) == []
+        assert len(roots_named(log, "request")) == 40
+        assert len(roots_named(log, "swap.barrier")) == 1
 
 
 # --------------------------------------------------------------------------
