@@ -2,9 +2,10 @@
 
 Four pillars (see DESIGN.md "Static checks" and "Concurrency model"):
 
-* the **plan verifier** symbolically replays a compiled mode's frozen
-  schedules and proves the memory-safety invariants (PLAN001-PLAN006)
-  before any session executes them;
+* the **plan verifier** runs a compiled mode once in a simulated
+  executor with a read-only probe in its policy stack and proves the
+  memory-safety invariants (PLAN001-PLAN006) before any session
+  executes it;
 * the **architecture linter** encodes the ownership/concurrency rules
   the parallel-session design relies on (LINT001-LINT005) as AST checks
   over ``src/repro/``;
@@ -12,8 +13,8 @@ Four pillars (see DESIGN.md "Static checks" and "Concurrency model"):
   analysis over one instrumented execution's synchronization log
   (RACE001-RACE005), catching races and potential deadlocks that
   bit-identity tests can miss by lucky scheduling;
-* the **cost model** runs one throwaway simulated replay iteration of
-  a compiled mode with the device op log on, predicting iteration
+* the **cost model** runs the same throwaway simulated replay
+  (``replay_executor``) with the device op log on, predicting iteration
   time, DMA traffic, and peak memory, and flagging performance
   pathologies (PERF001-PERF006) — with a policy advisor that
   recommends the cheapest ablation rung fitting a memory budget.
@@ -22,9 +23,8 @@ All report structured :class:`~repro.check.diagnostics.Diagnostic`
 findings with provenance and serialize to one JSON artifact schema CI
 uploads (``diagnostics.SCHEMA_VERSION``).  Entry points: ``repro check
 plan`` / ``check lint`` / ``check race`` / ``check cost`` on the CLI;
-``Engine(..., verify=True)`` / ``RuntimeConfig.verify_plans`` at
-compile time; ``REPRO_TRACE=sync`` or ``instrument.capture("sync")``
-to arm the synchronization trace.
+``RuntimeConfig.verify_plans`` at compile time; ``REPRO_TRACE=sync``
+or ``instrument.capture("sync")`` to arm the synchronization trace.
 
 Attribute resolution is lazy (PEP 562): ``repro.check.instrument`` is
 imported by core modules (engine, tensor_state) whose own import chain
@@ -53,15 +53,11 @@ _EXPORTS: Dict[str, str] = {
     "lint_paths": "lint",
     "lint_source": "lint",
     "lint_tree": "lint",
-    # plan verifier
-    "PlanTrace": "plan_verifier",
+    # plan verifier + the check replay it shares with the cost model
     "PlanVerificationError": "plan_verifier",
-    "SymStep": "plan_verifier",
-    "SymTensor": "plan_verifier",
-    "extract_trace": "plan_verifier",
     "verify_compiled_mode": "plan_verifier",
     "verify_engine": "plan_verifier",
-    "verify_trace": "plan_verifier",
+    "replay_executor": "replay",
     # instrumentation
     "EventLog": "instrument",
     "SyncEvent": "instrument",

@@ -40,12 +40,12 @@ shared :class:`~repro.check.diagnostics.CheckReport` machinery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check.diagnostics import CheckReport, Diagnostic
+from repro.check.replay import replay_executor
 from repro.core.config import RuntimeConfig
-from repro.core.runtime import Executor
 from repro.device.dma import CopyDirection
 from repro.device.timeline import (
     BW, FETCH, FW, OFFLOAD, PREFETCH, RECOMPUTE, RELEASE, STALL, Stream,
@@ -235,11 +235,16 @@ class CostPrediction:
 # the prediction: one replayed iteration, read back from its op log
 # --------------------------------------------------------------------------- #
 
-def _replay(net, compiled, config: RuntimeConfig,
-            target: Optional[str]) -> CostPrediction:
-    cfg = replace(config, concrete=False, trace=False,
-                  collect_traces=False, steady_state_replay=True)
-    with Executor(net, cfg, mode=compiled.mode, compiled=compiled) as ex:
+def predict_compiled_mode(net, compiled, config: RuntimeConfig,
+                          target: Optional[str] = None) -> CostPrediction:
+    """Predict one compiled mode from one throwaway simulated replay
+    iteration of it.
+
+    ``config`` must be the *effective* mode config
+    (``RuntimeConfig.for_mode``) — the one whose policy stack produced
+    ``compiled.gathered``, exactly as the plan verifier requires.
+    """
+    with replay_executor(net, compiled, config) as ex:
         timeline = ex.timeline
         timeline.record_ops = True
         t0 = timeline.elapsed   # after the parameter allocations
@@ -262,7 +267,7 @@ def _replay(net, compiled, config: RuntimeConfig,
             peak_host_bytes=ex.fabric.peak_bytes(),
             extra_forwards=res.extra_forwards,
             recompute_seconds=0.0,
-            capacity=cfg.capacity,
+            capacity=ex.config.capacity,
             pressure_evictions=res.cache_evictions,
             workspace_fallbacks=ex.selector.fallbacks,
         )
@@ -465,18 +470,6 @@ def serving_fill_check(batch: int, max_request: int,
 # --------------------------------------------------------------------------- #
 # entry points
 # --------------------------------------------------------------------------- #
-
-def predict_compiled_mode(net, compiled, config: RuntimeConfig,
-                          target: Optional[str] = None) -> CostPrediction:
-    """Predict one compiled mode from one throwaway simulated replay
-    iteration of it.
-
-    ``config`` must be the *effective* mode config
-    (``RuntimeConfig.for_mode``) — the one whose policy stack produced
-    ``compiled.gathered``, exactly as the plan verifier requires.
-    """
-    return _replay(net, compiled, config, target)
-
 
 def cost_compiled_mode(net, compiled, config: RuntimeConfig,
                        target: Optional[str] = None,

@@ -31,9 +31,8 @@ from typing import Dict, List, Optional
 
 #: Severities, most severe first.  ``error`` fails the check; ``warning``
 #: is reported (and serialized) but does not flip the exit code —
-#: used where the static model cannot decide (e.g. an over-capacity
-#: peak under a pressure-driven eviction policy that may shed bytes at
-#: runtime).
+#: used where a finding may be harmless (e.g. a performance pathology
+#: or a truncated race trace).
 SEVERITIES = ("error", "warning")
 
 #: Plan-verifier rules: invariant violated -> what it means at runtime.

@@ -544,7 +544,8 @@ def _parse_serve_batches(args):
 
 @_check_cmd
 def cmd_check_plan(args) -> int:
-    """Compile and statically verify plans across the ablation ladder."""
+    """Compile plans across the ablation ladder; verify each by
+    replaying it once."""
     from repro.core.config import RuntimeConfig
     from repro.check import CheckReport, verify_compiled_mode
 

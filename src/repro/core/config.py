@@ -70,8 +70,8 @@ class RuntimeConfig:
     # IterationPlan the executor replays with no hook dispatch
     # (bit-identical results; Session.with_replay(False) opts out).
     steady_state_replay: bool = True
-    # run the static plan verifier (repro.check) on every compiled mode
-    # before the engine caches it; violations raise PlanVerificationError
+    # run the plan verifier (repro.check) on every compiled mode before
+    # the engine caches it; violations raise PlanVerificationError
     verify_plans: bool = False
     # arm SessionTensorState's placement state machine.  None defers to
     # the REPRO_VALIDATE_STATE environment variable (set by the test

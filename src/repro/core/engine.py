@@ -165,17 +165,12 @@ class Engine:
     :attr:`compile_count` counts the planning passes actually run.
     """
 
-    def __init__(self, net: Net, config: Optional[RuntimeConfig] = None,
-                 verify: Optional[bool] = None):
+    def __init__(self, net: Net, config: Optional[RuntimeConfig] = None):
         self.net = net.build()
         # private copy: compiled plans are derived from the config, so
         # later caller-side mutation must not desync them from workers
         self.config = replace(config) if config is not None \
             else RuntimeConfig()
-        #: run the static plan verifier on every mode before caching it
-        #: (None defers to config.verify_plans)
-        self.verify_plans = self.config.verify_plans if verify is None \
-            else verify
         #: shared base planning passes (the Alg. 1 topological order).
         #: At most 1, however many modes compile — the tests assert
         #: train+infer share one planning pass.
@@ -205,7 +200,7 @@ class Engine:
             cm = self._compiled.get(mode)
             if cm is None:
                 cm = self._compile_mode(mode)
-                if self.verify_plans:
+                if self.config.verify_plans:
                     self._verify_mode(mode, cm)
                 trace_write(self, f"engine.compiled[{mode}]")
                 self._compiled[mode] = cm
@@ -213,12 +208,15 @@ class Engine:
         return cm
 
     def _verify_mode(self, mode: str, cm: CompiledMode) -> None:
-        """Statically verify one compiled mode (before it is cached).
+        """Verify one compiled mode by replaying it once (before it is
+        cached).
 
         Raises :class:`~repro.check.plan_verifier.PlanVerificationError`
         on any error-severity finding, so a memory-unsafe plan can never
-        be replayed by a session.  Lazy import: engines that never arm
-        verification never load the checker.
+        be replayed by a session.  The check replay is simulated, so a
+        concrete engine's parameter values are never touched.  Lazy
+        import: engines that never arm verification never load the
+        checker.
         """
         from repro.check.diagnostics import CheckReport
         from repro.check.plan_verifier import (
@@ -552,16 +550,15 @@ class Engine:
 
 
 def compile(net: Net, config: Optional[RuntimeConfig] = None,
-            modes: Tuple[str, ...] = (),
-            verify: Optional[bool] = None) -> Engine:
+            modes: Tuple[str, ...] = ()) -> Engine:
     """Compile a network into an :class:`Engine`.
 
     ``modes`` eagerly compiles the named execution modes; by default
     compilation happens lazily when the first session of a mode runs.
-    ``verify=True`` runs the static plan verifier on every compiled
+    ``config.verify_plans`` runs the plan verifier on every compiled
     mode and refuses to cache one that fails (see :mod:`repro.check`).
     """
-    engine = Engine(net, config, verify=verify)
+    engine = Engine(net, config)
     for mode in modes:
         engine.compiled(mode)
     return engine

@@ -311,21 +311,6 @@ class GatheredPolicy:
     plan: Optional[PolicyPlan]
 
 
-def plans_by_key(gathered: Tuple["GatheredPolicy", ...]
-                 ) -> Dict[str, PolicyPlan]:
-    """The stable policies' non-empty contributions, keyed by registry
-    name.  The static plan verifier (:mod:`repro.check.plan_verifier`)
-    reads the frozen schedules through this instead of touching stack
-    positions, so policy order stays an executor concern."""
-    return {g.key: g.plan for g in gathered if g.stable and g.plan is not None}
-
-
-def unstable_keys(gathered: Tuple["GatheredPolicy", ...]) -> Tuple[str, ...]:
-    """Registry names of the dynamic (non-plan-stable) stack positions —
-    the part of a compiled mode a static verifier cannot replay."""
-    return tuple(g.key for g in gathered if not g.stable)
-
-
 def gather_policy_plans(ex) -> Tuple["GatheredPolicy", ...]:
     """Freeze every stack position's decisions after a fresh iteration.
 

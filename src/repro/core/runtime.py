@@ -287,7 +287,6 @@ class Executor:
         self._recompute_policy = self._find_policy("recompute")
         self._workspace_policy = self._find_policy("workspace")
         self._fallback_cache: Optional[TensorCache] = None
-        self._fallback_recompute: Optional[MemoryPolicy] = None
         for p in self.policies:
             p.bind(self._ctx)
 
@@ -377,21 +376,6 @@ class Executor:
         """The workspace policy's per-execution choice recorder."""
         return self._workspace_policy.selector \
             if self._workspace_policy is not None else None
-
-    @property
-    def engine(self) -> MemoryPolicy:
-        """Compatibility alias for the recomputation policy.
-
-        Always an object (a dormant, never-dispatched policy when
-        recomputation is off), so legacy ``ex.engine.extra_forwards``
-        reads keep returning 0 as they did with the old engine.
-        """
-        if self._recompute_policy is not None:
-            return self._recompute_policy
-        if self._fallback_recompute is None:
-            from repro.core.policy import RecomputePolicy
-            self._fallback_recompute = RecomputePolicy.from_config(self.config)
-        return self._fallback_recompute
 
     def _cache_counters(self):
         if self._offload_policy is None:
