@@ -79,10 +79,10 @@ from repro.check.instrument import (
     trace_write,
 )
 from repro.core.config import RuntimeConfig
-from repro.core.liveness import LivenessAnalysis, LivenessPlan
+from repro.core.liveness import (
+    LivenessAnalysis, LivenessPlan, ModePlanning, plan_mode)
 from repro.core.plan import GatheredPolicy, gather_policy_plans
-from repro.core.policy import MemoryPolicy, resolve_policies
-from repro.core.recompute import RecomputePlan, plan_segments
+from repro.core.recompute import RecomputePlan
 from repro.core.runtime import Executor, IterationResult
 from repro.graph.network import Net
 from repro.graph.route import ExecutionRoute, forward_order
@@ -106,23 +106,6 @@ class PlanningBase:
     """
 
     forward_layers: List  # read-only; shared by both routes
-
-
-@dataclass(frozen=True)
-class ModePlanning:
-    """One mode's pre-scout planning artifacts (route + analyses).
-
-    The subset of :class:`CompiledMode` that exists *before* the scout
-    iteration runs; an :class:`~repro.core.runtime.Executor` accepts it
-    via ``planning=`` to skip re-deriving route/liveness/segments while
-    still recording its own first iteration.
-    """
-
-    mode: str
-    route: ExecutionRoute
-    recompute_plan: RecomputePlan
-    liveness: LivenessAnalysis
-    liveness_plan: LivenessPlan
 
 
 @dataclass(frozen=True)
@@ -244,20 +227,6 @@ class Engine:
             self.compile_count += 1
         return self._base
 
-    def _mode_planning(self, mode: str) -> ModePlanning:
-        """Route + analyses for one mode, on top of the shared base."""
-        base = self._planning_base()
-        eff = self.config.for_mode(mode)
-        route = ExecutionRoute(self.net, training=(mode == "train"),
-                               forward_layers=base.forward_layers)
-        recompute_plan = plan_segments(route, eff.recompute,
-                                       self.net.max_layer_bytes())
-        liveness = LivenessAnalysis(route, eff, recompute_plan)
-        return ModePlanning(mode=mode, route=route,
-                            recompute_plan=recompute_plan,
-                            liveness=liveness,
-                            liveness_plan=liveness.compile())
-
     def _compile_mode(self, mode: str) -> CompiledMode:
         # The scout records one fresh iteration in simulated mode: the
         # allocator landscape (hence workspace picks), liveness frees,
@@ -265,9 +234,11 @@ class Engine:
         # identical to a concrete run's, but no payload is ever touched.
         # It reuses the shared base planning (route order + forward
         # dependency scan) instead of re-deriving it per mode.
-        planning = self._mode_planning(mode)
-        scout_cfg = replace(self.config.for_mode(mode),
-                            concrete=False, collect_traces=False,
+        eff = self.config.for_mode(mode)
+        base = self._planning_base()
+        planning = plan_mode(self.net, eff, mode,
+                             forward_layers=base.forward_layers)
+        scout_cfg = replace(eff, concrete=False, collect_traces=False,
                             steady_state_replay=True)
         with Executor(self.net, scout_cfg, mode=mode,
                       planning=planning) as scout:
@@ -276,24 +247,16 @@ class Engine:
                                 gathered=gather_policy_plans(scout))
 
     # -------------------------------------------------------------- spawning
-    def executor(self, mode: str = "train", precompiled: bool = True,
-                 extra_policies: Tuple[MemoryPolicy, ...] = ()) -> Executor:
+    def executor(self, mode: str = "train") -> Executor:
         """A fresh executor over this engine's net.
 
-        With ``precompiled`` (the default when replay is enabled and no
-        custom policy instances ride along), the worker links the
-        shared compiled plan and replays from iteration 0; otherwise it
-        records its own first iteration, exactly like a standalone
-        ``Executor`` — the legacy :class:`~repro.core.session.Session`
-        path uses that to keep its record-then-replay contract.
+        When replay is enabled the worker links the shared compiled
+        plan and replays from iteration 0; otherwise it records every
+        iteration, exactly like a standalone ``Executor``.
         """
         eff = self.config.for_mode(mode)
-        stack = resolve_policies(eff) + list(extra_policies)
-        compiled = None
-        if precompiled and eff.steady_state_replay and not extra_policies:
-            compiled = self.compiled(mode)
-        return Executor(self.net, self.config, policies=stack,
-                        mode=mode, compiled=compiled)
+        compiled = self.compiled(mode) if eff.steady_state_replay else None
+        return Executor(self.net, self.config, mode=mode, compiled=compiled)
 
     def session(self, mode: str = "train"):
         """Spawn a lightweight session sharing this engine's plans."""

@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.config import RecomputeStrategy, RuntimeConfig
+from repro.core.recompute import RecomputePlan, plan_segments
+from repro.graph.network import Net
 from repro.graph.route import ExecutionRoute, Phase, Step
 from repro.layers.base import Layer, LayerType
 from repro.tensors.tensor import Tensor
@@ -90,7 +92,6 @@ class LivenessAnalysis:
         self.route = route
         self.config = config or RuntimeConfig()
         if recompute_plan is None and self._recompute_on():
-            from repro.core.recompute import plan_segments
             recompute_plan = plan_segments(
                 route, self.config.recompute, route.net.max_layer_bytes()
             )
@@ -289,3 +290,35 @@ class LivenessAnalysis:
             if layer.ltype not in self.config.offload_types:
                 total += layer.l_f()
         return total + self.route.forward_layers[-1].l_b()
+
+
+@dataclass(frozen=True)
+class ModePlanning:
+    """One mode's pre-scout planning artifacts (route + analyses),
+    derived by :func:`plan_mode`; an engine shares them across its
+    scout and workers."""
+
+    mode: str
+    route: ExecutionRoute
+    recompute_plan: RecomputePlan
+    liveness: LivenessAnalysis
+    liveness_plan: LivenessPlan
+
+
+def plan_mode(net: Net, config: RuntimeConfig, mode: str,
+              forward_layers: Optional[List[Layer]] = None
+              ) -> ModePlanning:
+    """Route, recompute segments and liveness for one execution mode.
+
+    ``config`` is the mode's effective config
+    (:meth:`RuntimeConfig.for_mode`); ``forward_layers`` injects a
+    shared topological order (see :class:`ExecutionRoute`).
+    """
+    route = ExecutionRoute(net, training=(mode == "train"),
+                           forward_layers=forward_layers)
+    recompute_plan = plan_segments(route, config.recompute,
+                                   net.max_layer_bytes())
+    liveness = LivenessAnalysis(route, config, recompute_plan)
+    return ModePlanning(mode=mode, route=route,
+                        recompute_plan=recompute_plan, liveness=liveness,
+                        liveness_plan=liveness.compile())

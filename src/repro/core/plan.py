@@ -20,7 +20,7 @@ This module freezes those decisions after a recording (fresh) iteration:
   :func:`link_iteration_plan` merges them, *in stack order*, into one
   :class:`IterationPlan` — an array of
   :class:`CompiledStep` records whose hook sites are prebound closure
-  lists, so the executor's replay loop runs the exact same mechanics
+  lists, so the executor's step loop runs the exact same mechanics
   with zero hook dispatch for stable policies and no dispatch at all
   where nothing would happen;
 * policies that are **not** plan-stable (the LRU tensor cache, whose
@@ -28,10 +28,14 @@ This module freezes those decisions after a recording (fresh) iteration:
   in) keep receiving every hook through bound-method lists in their
   original stack positions, so a mixed stack replays correctly.
 
-Replay is bit-identical to the fresh path by construction: every closure
-reproduces the corresponding policy-hook body, including its dynamic
-guards (offload-in-flight checks, host-residency checks before prefetch,
-the workspace fragmentation fallback).  Demand-driven hooks
+A recording iteration and a replayed one run the same step loop
+(``Executor._run_steps``) over the same :class:`CompiledStep` records;
+the recording one walks a dispatch plan whose every stack position is
+dynamic.  So the mechanics are shared, and only the decisions differ:
+every replay closure reproduces the corresponding policy-hook body,
+including its dynamic guards (offload-in-flight checks, host-residency
+checks before prefetch, the workspace fragmentation fallback), which is
+what makes replay bit-identical to recording.  Demand-driven hooks
 (``on_backward_need``, ``on_memory_pressure``) and the iteration
 brackets are never compiled away — they are mechanics, not planning.
 """
@@ -124,7 +128,7 @@ class PolicyPlan:
 
 
 class CompiledStep:
-    """Everything the replay loop needs for one step, precomputed."""
+    """Everything the step loop needs for one step, precomputed."""
 
     __slots__ = (
         "step", "layer", "is_forward", "is_data", "trace_label",

@@ -38,7 +38,7 @@ import numpy as np
 from repro.check import instrument
 from repro.core.cache import TensorCache
 from repro.core.config import RuntimeConfig
-from repro.core.liveness import LivenessAnalysis, LivenessPlan
+from repro.core.liveness import LivenessPlan, plan_mode
 from repro.core.plan import (
     SCHEDULABLE_HOOKS,
     CompiledStep,
@@ -48,7 +48,6 @@ from repro.core.plan import (
     link_iteration_plan,
 )
 from repro.core.policy import MemoryPolicy, StepContext, resolve_policies
-from repro.core.recompute import plan_segments
 from repro.core.tensor_state import SessionTensorState
 from repro.core.workspace import WorkspaceChoice
 from repro.device.dma import CopyDirection, DMAEngine
@@ -56,9 +55,8 @@ from repro.device.fabric import MemoryFabric
 from repro.device.gpu import OutOfMemoryError, SimulatedGPU
 from repro.device.model import DeviceModel
 from repro.device.timeline import (
-    BW, EVICT, FETCH, FW, OFFLOAD, PREFETCH, RELEASE, Event, Stream, Timeline)
+    EVICT, FETCH, OFFLOAD, PREFETCH, RELEASE, Event, Stream, Timeline)
 from repro.graph.network import Net
-from repro.graph.route import ExecutionRoute, Phase, Step
 from repro.layers.base import Layer, LayerContext
 from repro.layers.data import DataLayer
 from repro.mempool.allocator import Allocation, CudaAllocator, PoolAllocator
@@ -174,10 +172,10 @@ class _PendingOffload:
 class Executor:
     """Runs iterations of one network under one policy stack.
 
-    ``Executor(net, config)`` resolves the stack from the config — the
-    legacy constructor keeps working unchanged.  ``policies`` overrides
-    the stack explicitly (the :class:`~repro.core.session.Session`
-    builder uses this to append custom policies).
+    ``Executor(net, config)`` resolves the stack from the config.
+    ``policies`` replaces the stack explicitly: a standalone
+    :class:`~repro.core.session.Session` passes the config-resolved
+    stack plus its custom policy instances here.
 
     ``mode`` selects the execution mode: ``"train"`` runs the 2N-step
     forward+backward route; ``"infer"`` runs the forward-only N-step
@@ -190,9 +188,16 @@ class Executor:
     plans) from a compile-once :class:`~repro.core.engine.Engine`: the
     executor then skips its own planning entirely and replays the
     linked plan from iteration 0.  ``planning`` injects only the
-    pre-scout artifacts (:class:`~repro.core.engine.ModePlanning`) —
+    pre-scout artifacts (:class:`~repro.core.liveness.ModePlanning`) —
     the executor skips route/liveness/segmentation derivation but still
-    records its own first iteration (the engine's scout path).
+    records its own first iteration (the engine's scout path).  Without
+    either, it derives them itself with
+    :func:`~repro.core.liveness.plan_mode`.
+
+    Recording and replayed iterations run one step loop: a recording
+    iteration walks a dispatch plan in which every policy receives
+    every step hook, a replayed one walks the compiled
+    :class:`~repro.core.plan.IterationPlan`.
 
     Every piece of *mutable* per-tensor state — placement, cache locks,
     host residency, prefetch arrivals — lives in :attr:`state`, a
@@ -250,25 +255,18 @@ class Executor:
         if compiled is not None and planning is not None:
             raise TypeError("pass either compiled or planning, not both")
         artifacts = compiled if compiled is not None else planning
-        if artifacts is not None:
-            if artifacts.mode != mode:
-                raise ValueError(
-                    f"compiled artifacts are for mode {artifacts.mode!r}, "
-                    f"executor runs {mode!r}"
-                )
-            # engine workers share the read-only planning artifacts
-            self.route = artifacts.route
-            self.recompute_plan = artifacts.recompute_plan
-            self.liveness = artifacts.liveness
-            self.plan: LivenessPlan = artifacts.liveness_plan
-        else:
-            self.route = ExecutionRoute(self.net, training=self.training)
-            self.recompute_plan = plan_segments(
-                self.route, cfg.recompute, self.net.max_layer_bytes()
+        if artifacts is None:
+            artifacts = plan_mode(self.net, cfg, mode)
+        elif artifacts.mode != mode:
+            raise ValueError(
+                f"compiled artifacts are for mode {artifacts.mode!r}, "
+                f"executor runs {mode!r}"
             )
-            self.liveness = LivenessAnalysis(self.route, cfg,
-                                             self.recompute_plan)
-            self.plan = self.liveness.compile()
+        # engine workers share the read-only planning artifacts
+        self.route = artifacts.route
+        self.recompute_plan = artifacts.recompute_plan
+        self.liveness = artifacts.liveness
+        self.plan: LivenessPlan = artifacts.liveness_plan
         self._precompiled = compiled
 
         # ALL executor-mutated tensor state is session-local: this table
@@ -297,6 +295,7 @@ class Executor:
         self._listeners = self._build_listener_table()
         self._active_listeners = self._listeners
         self._replay_listeners: Optional[Dict[str, tuple]] = None
+        self._recording_plan: Optional[IterationPlan] = None
 
         # steady-state replay state
         self._replay_enabled = cfg.steady_state_replay
@@ -646,9 +645,6 @@ class Executor:
         self._precompiled = None
         self._fresh_iterations = 0  # require a new recording iteration
 
-    def _compile_plan(self) -> None:
-        self._install_plan(gather_policy_plans(self))
-
     def _install_plan(self, gathered: Sequence[GatheredPolicy]) -> None:
         """Link gathered policy plans (own or engine-shared) and derive
         the replay dispatch tables."""
@@ -695,7 +691,7 @@ class Executor:
         if self._replay_enabled:
             if self._iteration_plan is None:
                 if self._fresh_iterations:
-                    self._compile_plan()
+                    self._install_plan(gather_policy_plans(self))
                 elif self._precompiled is not None:
                     # engine worker: link the shared plan, replay from
                     # iteration 0 — no recording iteration needed
@@ -719,10 +715,10 @@ class Executor:
         ws_start = len(self._workspace_choices())
 
         if replaying:
-            traces = self._replay_steps(ctx, optimizer)
+            traces = self._run_steps(self._iteration_plan, ctx, optimizer)
             self.replayed_iterations += 1
         else:
-            traces = self._fresh_steps(ctx, optimizer)
+            traces = self._run_steps(self._dispatch_plan(), ctx, optimizer)
             self._fresh_iterations += 1
 
         # iteration barrier: drain copies, free whatever is left
@@ -765,55 +761,46 @@ class Executor:
             output=ctx.layer_ctx.final_output,
         )
 
-    def _fresh_steps(self, ctx: StepContext, optimizer) -> List[StepTrace]:
-        """The recording path: full hook dispatch, decisions re-derived."""
-        traces: List[StepTrace] = []
-        collect = self._collect_traces
-        for step in self.route.steps:
-            ctx._begin_step(step)
-            self._dispatch("before_step", step)
-            if step.phase is Phase.FORWARD:
-                ws = self._forward_step(step, ctx)
-            else:
-                ws = self._backward_step(step, ctx, optimizer)
-            high = self.allocator.used_bytes
-            # reclamation: eager-offload registration, liveness frees,
-            # recompute cleanup — in stack order — then the settled hook
-            # (prefetch-ahead) once the frees have landed
-            self._dispatch("after_step", step)
-            self._dispatch("on_step_settled", step)
-            if collect:
-                traces.append(StepTrace(
-                    index=step.index,
-                    label=f"{step.layer.name}:{step.phase.value[0]}",
-                    phase=step.phase.value,
-                    used_high=high,
-                    used_settled=self.allocator.used_bytes,
-                    activation_high=high - self.param_bytes,
-                    activation_settled=self.allocator.used_bytes
-                    - self.param_bytes,
-                    live_tensors=self.state.live_count(),
-                    workspace=ws,
-                ))
-        return traces
+    def _dispatch_plan(self) -> IterationPlan:
+        """The recording iteration's plan: every stack position is
+        dynamic, so each hook site holds that hook's full listener tuple
+        and every policy observes (and records) every step.  Built on
+        the first fresh iteration only; replay-only workers never do."""
+        if self._recording_plan is None:
+            ls = self._listeners
+            steps: List[CompiledStep] = []
+            for step in self.route.steps:
+                cs = CompiledStep(step, self.model, self.route)
+                cs.before_ops = ls["before_step"]
+                cs.compute_ops = ls["before_compute"]
+                cs.after_ops = ls["after_step"]
+                cs.settled_ops = ls["on_step_settled"]
+                steps.append(cs)
+            self._recording_plan = IterationPlan(steps=steps, stable_keys=())
+        return self._recording_plan
 
-    def _replay_steps(self, ctx: StepContext, optimizer) -> List[StepTrace]:
-        """The steady-state path: compiled actions, no stable-policy
-        dispatch, bit-identical mechanics."""
+    def _run_steps(self, plan: IterationPlan, ctx: StepContext, optimizer
+                   ) -> List[StepTrace]:
+        """The one step loop: ``plan`` decides which hook sites run
+        (the full listeners when recording, compiled actions when
+        replaying); the mechanics are the same either way."""
         traces: List[StepTrace] = []
         collect = self._collect_traces
         allocator = self.allocator
         param_bytes = self.param_bytes
-        for cs in self._iteration_plan.steps:
+        for cs in plan.steps:
             step = cs.step
             ctx._begin_step(step)
             for fn in cs.before_ops:
                 fn(ctx, step)
             if cs.is_forward:
-                ws = self._replay_forward(cs, ctx)
+                ws = self._run_forward(cs, ctx)
             else:
-                ws = self._replay_backward(cs, ctx, optimizer)
+                ws = self._run_backward(cs, ctx, optimizer)
             high = allocator.used_bytes
+            # reclamation (eager-offload registration, liveness frees,
+            # recompute cleanup) in stack order, then the settled sites
+            # (prefetch-ahead) once the frees have landed
             for fn in cs.after_ops:
                 fn(ctx, step)
             for fn in cs.settled_ops:
@@ -833,8 +820,8 @@ class Executor:
                 ))
         return traces
 
-    def _replay_forward(self, cs: CompiledStep, ctx: StepContext
-                        ) -> Optional[WorkspaceChoice]:
+    def _run_forward(self, cs: CompiledStep, ctx: StepContext
+                     ) -> Optional[WorkspaceChoice]:
         layer = cs.layer
         state = self.state
         for t in cs.reads:
@@ -866,8 +853,8 @@ class Executor:
         state.unlock(out)
         return ctx.step_workspace
 
-    def _replay_backward(self, cs: CompiledStep, ctx: StepContext, optimizer
-                         ) -> Optional[WorkspaceChoice]:
+    def _run_backward(self, cs: CompiledStep, ctx: StepContext, optimizer
+                      ) -> Optional[WorkspaceChoice]:
         if cs.is_data:
             return None
         layer = cs.layer
@@ -936,92 +923,6 @@ class Executor:
         for a in ctx._scratch:
             self.allocator.free(a)
         ctx._scratch.clear()
-
-    def _forward_step(self, step: Step, ctx: StepContext
-                      ) -> Optional[WorkspaceChoice]:
-        layer = step.layer
-        state = self.state
-        reads = self.route.forward_reads(layer)
-        for t in reads:
-            self._make_gpu_resident(t)
-            state.lock(t)
-        self._gpu_alloc_tensor(layer.output)
-        state.lock(layer.output)
-
-        self._dispatch("before_compute", step)
-        duration = ctx.step_duration if ctx.step_duration is not None \
-            else layer.sim_time_forward(self.model)
-        ev = self.timeline.submit(Stream.COMPUTE, duration, f"{FW}:{layer.name}")
-        ctx.last_compute_event = ev
-
-        if self.concrete:
-            ins = [self.store.get_required(p.output) for p in layer.prev]
-            out = layer.forward(ins, ctx.layer_ctx)
-            self.store.put(layer.output, out)
-            if hasattr(layer, "update_running_stats") and ctx.layer_ctx.training:
-                layer.update_running_stats(ins[0])
-            if ctx.layer_ctx.capture_final and not layer.next:
-                ctx.layer_ctx.final_output = \
-                    self.store.get_required(layer.output)
-
-        self._free_step_scratch(ctx)
-        for t in reads:
-            state.unlock(t)
-        state.unlock(layer.output)
-        return ctx.step_workspace
-
-    def _backward_step(
-        self, step: Step, ctx: StepContext, optimizer
-    ) -> Optional[WorkspaceChoice]:
-        layer = step.layer
-        if isinstance(layer, DataLayer):
-            return None
-
-        state = self.state
-        fw_needed = self.route.backward_reads(layer)
-        missing = [t for t in fw_needed if not state.is_live(t)]
-        if missing:
-            self._dispatch("on_backward_need", step, missing)
-            still = [t for t in missing if not state.is_live(t)]
-            if still:
-                raise RuntimeError(
-                    f"backward of {layer.name} needs freed tensors "
-                    f"{[t.name for t in still]} but recomputation is off"
-                )
-        for t in fw_needed:
-            self._make_gpu_resident(t)
-            state.lock(t)
-
-        has_grad_in = bool(layer.next)
-        if has_grad_in:
-            self._ensure_grad(layer.grad_output)
-            state.lock(layer.grad_output)
-
-        grad_targets = [p for p in layer.prev if not isinstance(p, DataLayer)]
-        for p in grad_targets:
-            self._ensure_grad(p.grad_output)
-            state.lock(p.grad_output)
-        for g in layer.param_grads:
-            self._gpu_alloc_tensor(g)
-
-        self._dispatch("before_compute", step)
-        duration = ctx.step_duration if ctx.step_duration is not None \
-            else layer.sim_time_backward(self.model)
-        ev = self.timeline.submit(Stream.COMPUTE, duration, f"{BW}:{layer.name}")
-        ctx.last_compute_event = ev
-
-        if self.concrete:
-            self._backward_values(layer, ctx.layer_ctx, optimizer)
-
-        self._free_step_scratch(ctx)
-        for t in fw_needed:
-            state.unlock(t)
-        if has_grad_in:
-            state.unlock(layer.grad_output)
-        for p in grad_targets:
-            state.unlock(p.grad_output)
-
-        return ctx.step_workspace
 
     def _backward_values(self, layer: Layer, ctx: LayerContext, optimizer) -> None:
         ins = [

@@ -20,12 +20,13 @@ Custom :class:`~repro.core.policy.MemoryPolicy` *instances* can be
 appended with ``with_policy(my_policy)``; they ride at the end of the
 resolved stack, observing every hook without any executor edits.
 
-``Session`` is a thin facade over the compile-once
-:class:`~repro.core.engine.Engine`: a standalone session lazily wraps
-its net+config in a private engine and asks it for a recording
-executor (preserving the record-then-replay contract), while
-``engine.session(mode=...)`` workers share one engine's compiled plans
-and replay them from iteration 0.  ``mode="infer"`` selects the
+A standalone session builds its :class:`~repro.core.runtime.Executor`
+directly over a private copy of its config: the executor records its
+first iteration and replays from the second.
+``engine.session(mode=...)`` workers share one compile-once
+:class:`~repro.core.engine.Engine`'s plans and replay them from
+iteration 0; ``Session.compile()`` freezes a standalone session's
+net+config into such an engine.  ``mode="infer"`` selects the
 forward-only serving loop on either path.
 """
 
@@ -50,7 +51,9 @@ class Session:
     The builder is lazy: the :class:`~repro.core.runtime.Executor` (and
     its device substrate) is constructed on first use, so every
     ``with_*`` call before that is free.  After the first ``run`` the
-    stack is frozen — configuring a built session raises.  Sessions
+    stack is frozen — configuring a built session raises.  A standalone
+    session's executor is ``Executor(net, copy_of_config,
+    policies=resolved_stack + custom_instances, mode=mode)``.  Sessions
     spawned from an :class:`~repro.core.engine.Engine` are frozen from
     birth: their config belongs to the engine and is shared by every
     sibling session.
@@ -75,7 +78,7 @@ class Session:
         self._mode = mode
         self._engine = engine
         # engine-bound workers share a compiled engine's frozen config;
-        # standalone sessions get a *private* engine lazily at build
+        # standalone sessions get a private engine only from compile()
         self._engine_bound = engine is not None
         self._extra_policies: List[MemoryPolicy] = []
         self._executor: Optional[Executor] = None
@@ -205,23 +208,15 @@ class Session:
         Custom policy *instances* are per-session state and cannot be
         compiled into a shared engine.
         """
-        if self._engine_bound:
-            for mode in (modes or (self._mode,)):
-                self._engine.compiled(mode)
-            return self._engine
         if self._extra_policies:
             raise TypeError(
                 "custom policy instances are per-session and cannot be "
                 "compiled into a shared engine; use registry names")
-        engine = self._private_engine()
-        for mode in (modes or (self._mode,)):
-            engine.compiled(mode)
-        return engine
-
-    def _private_engine(self):
         if self._engine is None:
             from repro.core.engine import Engine  # lazy: avoid cycle
             self._engine = Engine(self._net, self._config)
+        for mode in (modes or (self._mode,)):
+            self._engine.compiled(mode)
         return self._engine
 
     # ------------------------------------------------------------ inspection
@@ -237,8 +232,9 @@ class Session:
     @property
     def engine(self):
         """The engine this session runs over: the shared one when
-        spawned from ``engine.session(...)``, a private one otherwise
-        (None until the session is built)."""
+        spawned from ``engine.session(...)``; for a standalone session,
+        the private engine :meth:`compile` returns (None until
+        ``compile()``)."""
         return self._engine
 
     @property
@@ -246,17 +242,18 @@ class Session:
         """The lazily built executor (building it freezes the config).
 
         Engine-bound workers link the shared compiled plan and replay
-        from iteration 0; standalone sessions ask their private engine
-        for a *recording* executor, preserving the legacy
-        record-then-replay contract bit for bit.
+        from iteration 0; standalone sessions build a recording
+        executor over a private copy of the config.
         """
         if self._executor is None:
             if self._engine_bound:
                 self._executor = self._engine.executor(self._mode)
             else:
-                self._executor = self._private_engine().executor(
-                    self._mode, precompiled=False,
-                    extra_policies=tuple(self._extra_policies))
+                # private copy: caller-side edits of the config after
+                # the build must not reach the executor
+                self._executor = Executor(
+                    self._net, dataclasses.replace(self._config),
+                    policies=self._resolved_stack(), mode=self._mode)
         return self._executor
 
     def _resolved_stack(self) -> List[MemoryPolicy]:

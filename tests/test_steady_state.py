@@ -30,9 +30,9 @@ ABLATION = {
 }
 
 
-def run_dicts(mk_net, config, iters=ITERS, lr=0.05):
-    with Executor(mk_net(), config) as ex:
-        opt = SGD(lr=lr)
+def run_dicts(mk_net, config, iters=ITERS, lr=0.05, mode="train"):
+    with Executor(mk_net(), config, mode=mode) as ex:
+        opt = SGD(lr=lr) if mode == "train" else None
         out = [ex.run_iteration(i, optimizer=opt).to_dict()
                for i in range(iters)]
         replayed = ex.replayed_iterations
@@ -50,13 +50,16 @@ class TestReplayEquivalence:
         assert r0 == 0 and r1 == ITERS - 1  # the fast path actually ran
         assert replay == fresh  # losses, peaks, traces, DMA, counters
 
-    @pytest.mark.parametrize("name", list(ABLATION))
-    def test_simulated_alexnet_bit_identical(self, name):
+    @pytest.mark.parametrize("name,mode", [
+        pytest.param(n, m, id=n if m == "train" else f"{n}-{m}")
+        for m in ("train", "infer") for n in ABLATION])
+    def test_simulated_alexnet_bit_identical(self, name, mode):
         mk = lambda: alexnet(batch=4, image=67, num_classes=10)
         fresh, _ = run_dicts(
             mk, ABLATION[name](concrete=False, steady_state_replay=False),
-            iters=3)
-        replay, r = run_dicts(mk, ABLATION[name](concrete=False), iters=3)
+            iters=3, mode=mode)
+        replay, r = run_dicts(mk, ABLATION[name](concrete=False), iters=3,
+                              mode=mode)
         assert r == 2
         assert replay == fresh
 
@@ -76,6 +79,9 @@ class TestReplayEquivalence:
 
             def before_step(self, ctx, step):
                 self._log.append(("b", step.index))
+
+            def before_compute(self, ctx, step):
+                self._log.append(("c", step.index))
 
             def after_step(self, ctx, step):
                 self._log.append(("a", step.index))
