@@ -113,13 +113,15 @@ class TensorCache:
                 "evict_for()")
         freed = 0
         locked = self._state.locked
-        # collect victims first because offload_cb mutates the map
-        victims: List[Tensor] = [
-            t for t in self._victim_order() if not locked(t)
-        ]
-        for t in victims:
+        # walk a snapshot of the order (offload_cb mutates the map) and
+        # consult the lock bits only until enough bytes are freed: the
+        # callback moves bytes, never lock bits, so the victims are the
+        # ones a full pre-filter would pick
+        for t in self._victim_order():
             if freed >= nbytes:
                 break
+            if locked(t):
+                continue
             self.remove(t)
             freed += offload_cb(t)
             self.evictions += 1
@@ -128,7 +130,7 @@ class TensorCache:
     def _victim_order(self) -> List[Tensor]:
         """Eviction order (first = first out) under the active policy."""
         if self.policy == "lru":
-            return [self._entries[tid] for tid in reversed(self._entries)]
+            return list(reversed(self._entries.values()))
         if self.policy == "fifo":
             order = sorted(self._entries, key=lambda tid: self._arrival[tid])
             return [self._entries[tid] for tid in order]

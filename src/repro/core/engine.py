@@ -81,9 +81,11 @@ from repro.check.instrument import (
 from repro.core.config import RuntimeConfig
 from repro.core.liveness import (
     LivenessAnalysis, LivenessPlan, ModePlanning, plan_mode)
-from repro.core.plan import GatheredPolicy, gather_policy_plans
+from repro.core.plan import (
+    GatheredPolicy, StepConstants, gather_policy_plans)
 from repro.core.recompute import RecomputePlan
 from repro.core.runtime import Executor, IterationResult
+from repro.device.model import DeviceModel
 from repro.graph.network import Net
 from repro.graph.route import ExecutionRoute, forward_order
 from repro.obs import recorder as obs_recorder
@@ -117,6 +119,10 @@ class CompiledMode:
 
     planning: ModePlanning
     gathered: Tuple[GatheredPolicy, ...]
+    #: per-step constants (reads, labels, durations, phase) under
+    #: ``device``; executors on the same device model link from these
+    step_constants: Tuple[StepConstants, ...]
+    device: DeviceModel
 
     @property
     def mode(self) -> str:
@@ -244,7 +250,9 @@ class Engine:
                       planning=planning) as scout:
             scout.run_iteration(0)
             return CompiledMode(planning=planning,
-                                gathered=gather_policy_plans(scout))
+                                gathered=gather_policy_plans(scout),
+                                step_constants=scout.step_constants(),
+                                device=scout.model)
 
     # -------------------------------------------------------------- spawning
     def executor(self, mode: str = "train") -> Executor:

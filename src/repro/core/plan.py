@@ -127,14 +127,16 @@ class PolicyPlan:
     keep_hooks: Tuple[str, ...] = ()
 
 
-class CompiledStep:
-    """Everything the step loop needs for one step, precomputed."""
+class StepConstants:
+    """The executor-independent part of one step: what it reads and
+    writes, its labels and modeled duration, its phase.  Derived once
+    per compiled mode (:func:`step_constants`) and shared by every
+    executor that links the mode's plan."""
 
     __slots__ = (
         "step", "layer", "is_forward", "is_data", "trace_label",
         "phase_value", "submit_label", "duration", "reads", "output",
         "has_running_stats", "has_grad_in", "grad_targets", "param_grads",
-        "before_ops", "compute_ops", "after_ops", "settled_ops",
     )
 
     def __init__(self, step: Step, model, route) -> None:
@@ -145,10 +147,6 @@ class CompiledStep:
         self.is_data = isinstance(layer, DataLayer)
         self.phase_value = step.phase.value
         self.trace_label = f"{layer.name}:{step.phase.value[0]}"
-        self.before_ops: Tuple[StepOp, ...] = ()
-        self.compute_ops: Tuple[StepOp, ...] = ()
-        self.after_ops: Tuple[StepOp, ...] = ()
-        self.settled_ops: Tuple[StepOp, ...] = ()
         if self.is_forward:
             self.submit_label = f"{FW}:{layer.name}"
             self.duration = layer.sim_time_forward(model)
@@ -169,6 +167,40 @@ class CompiledStep:
             self.grad_targets = tuple(
                 p for p in layer.prev if not isinstance(p, DataLayer))
             self.param_grads = tuple(layer.param_grads)
+
+
+def step_constants(route, model) -> Tuple[StepConstants, ...]:
+    """Every route step's constants under one device model."""
+    return tuple(StepConstants(step, model, route) for step in route.steps)
+
+
+class CompiledStep(StepConstants):
+    """Everything the step loop needs for one step: the shared
+    constants, copied flat (the loop reads them per step), plus this
+    executor's hook-site closures."""
+
+    __slots__ = ("before_ops", "compute_ops", "after_ops", "settled_ops")
+
+    def __init__(self, k: StepConstants) -> None:
+        # spelled out: a getattr/setattr loop over the slots costs 3x
+        self.step = k.step
+        self.layer = k.layer
+        self.is_forward = k.is_forward
+        self.is_data = k.is_data
+        self.trace_label = k.trace_label
+        self.phase_value = k.phase_value
+        self.submit_label = k.submit_label
+        self.duration = k.duration
+        self.reads = k.reads
+        self.output = k.output
+        self.has_running_stats = k.has_running_stats
+        self.has_grad_in = k.has_grad_in
+        self.grad_targets = k.grad_targets
+        self.param_grads = k.param_grads
+        self.before_ops: Tuple[StepOp, ...] = ()
+        self.compute_ops: Tuple[StepOp, ...] = ()
+        self.after_ops: Tuple[StepOp, ...] = ()
+        self.settled_ops: Tuple[StepOp, ...] = ()
 
 
 @dataclass
@@ -357,8 +389,9 @@ def link_iteration_plan(ex, gathered: Tuple["GatheredPolicy", ...]
     reap_op = _make_reap_op(ex)
 
     steps: List[CompiledStep] = []
-    for step in ex.route.steps:
-        cs = CompiledStep(step, ex.model, ex.route)
+    for k in ex.step_constants():
+        cs = CompiledStep(k)
+        step = k.step
         i = step.index
         before: List[StepOp] = []
         compute: List[StepOp] = []

@@ -31,7 +31,7 @@ used for 12 GB-scale capacity and speed benchmarks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -44,8 +44,10 @@ from repro.core.plan import (
     CompiledStep,
     GatheredPolicy,
     IterationPlan,
+    StepConstants,
     gather_policy_plans,
     link_iteration_plan,
+    step_constants,
 )
 from repro.core.policy import MemoryPolicy, StepContext, resolve_policies
 from repro.core.tensor_state import SessionTensorState
@@ -250,6 +252,11 @@ class Executor:
             )
         else:
             self.allocator = CudaAllocator(self.gpu, self.timeline)
+        # the heap pool whose op tape replayed iterations record and
+        # replay (module doc of repro.mempool.heap_pool); None for the
+        # native allocator, which never touches a tape
+        self._heap = self.allocator.pool \
+            if isinstance(self.allocator, PoolAllocator) else None
         self.store = ArrayStore() if self.concrete else NullStore()
 
         if compiled is not None and planning is not None:
@@ -268,6 +275,11 @@ class Executor:
         self.liveness = artifacts.liveness
         self.plan: LivenessPlan = artifacts.liveness_plan
         self._precompiled = compiled
+        # per-step constants: an engine's compiled mode carries them
+        # (derived once by its scout); otherwise derived on first use
+        self._step_constants = None
+        if compiled is not None and compiled.device == self.model:
+            self._step_constants = compiled.step_constants
 
         # ALL executor-mutated tensor state is session-local: this table
         # (placement, locks, host residency, arrivals, live set) is what
@@ -275,6 +287,9 @@ class Executor:
         # validate=None defers to REPRO_VALIDATE_STATE, so test/CI
         # processes arm the placement state machine for every session.
         self.state = SessionTensorState(validate=cfg.validate_state)
+        # the same arming audits the heap pool after each replayed
+        # iteration (disarmed, one branch)
+        self._audit_heap = self.state.validate and self._heap is not None
 
         # the policy stack (ordered; dispatch order is semantic)
         self.policies: List[MemoryPolicy] = (
@@ -456,12 +471,6 @@ class Executor:
             self._dispatch("on_tensor_resident", t, "alloc")
         return a
 
-    def _try_alloc(self, nbytes: int, tag: str) -> Allocation:
-        try:
-            return self.allocator.alloc(nbytes, tag)
-        except OutOfMemoryError:
-            return self._alloc_under_pressure(nbytes, tag)
-
     def _alloc_under_pressure(self, nbytes: int, tag: str) -> Allocation:
         """The slow path: each policy in stack order may free bytes."""
         def retry() -> Optional[Allocation]:
@@ -637,13 +646,22 @@ class Executor:
         iteration has been requested after a fresh recording one)."""
         return self._iteration_plan
 
+    def step_constants(self) -> Tuple[StepConstants, ...]:
+        """The route's per-step constants under this executor's device."""
+        if self._step_constants is None:
+            self._step_constants = step_constants(self.route, self.model)
+        return self._step_constants
+
     def invalidate_plan(self) -> None:
         """Drop the compiled plan; the next iteration records afresh
-        (a precompiled engine plan is dropped too)."""
+        (a precompiled engine plan and the heap pool's op tape are
+        dropped too)."""
         self._iteration_plan = None
         self._replay_listeners = None
         self._precompiled = None
         self._fresh_iterations = 0  # require a new recording iteration
+        if self._heap is not None:
+            self._heap.drop_tape()
 
     def _install_plan(self, gathered: Sequence[GatheredPolicy]) -> None:
         """Link gathered policy plans (own or engine-shared) and derive
@@ -697,6 +715,11 @@ class Executor:
                     # iteration 0 — no recording iteration needed
                     self._install_plan(self._precompiled.gathered)
             replaying = self._iteration_plan is not None
+        # replayed iterations bracket the heap pool's op tape: the first
+        # records it, later ones answer their allocs/frees from it
+        heap = self._heap if replaying else None
+        if heap is not None:
+            heap.tape_begin()
         self._active_listeners = (
             self._replay_listeners if replaying else self._listeners
         )
@@ -727,6 +750,10 @@ class Executor:
             self._force_reap_one()
         self.timeline.sync_all()
         self._end_of_iteration_cleanup()
+        if heap is not None:
+            if self._audit_heap:
+                heap.audit_tape()
+            heap.tape_end()
 
         # the loss travels through the per-session LayerContext (shared
         # SoftmaxLoss objects would race under concurrent sessions)
@@ -769,8 +796,8 @@ class Executor:
         if self._recording_plan is None:
             ls = self._listeners
             steps: List[CompiledStep] = []
-            for step in self.route.steps:
-                cs = CompiledStep(step, self.model, self.route)
+            for k in self.step_constants():
+                cs = CompiledStep(k)
                 cs.before_ops = ls["before_step"]
                 cs.compute_ops = ls["before_compute"]
                 cs.after_ops = ls["after_step"]

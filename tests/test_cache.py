@@ -130,6 +130,56 @@ class TestEviction:
         assert c.evictions == 3
 
 
+class TestLazyVictimWalk:
+    """``evict_for`` consults lock bits only until enough bytes are
+    freed, and still picks the victims a full pre-filter would."""
+
+    class _CountingState(SessionTensorState):
+        """Logs every lock-bit query and whether it was held."""
+
+        def __init__(self):
+            super().__init__()
+            self.queries = []
+
+        def locked(self, t):
+            held = super().locked(t)
+            self.queries.append(held)
+            return held
+
+    @classmethod
+    def _filled(cls, policy: str):
+        c = TensorCache(policy=policy, state=cls._CountingState())
+        ts = [_t(4, f"t{i}") for i in range(12)]
+        for t in ts:
+            c.insert(t)
+        for t in ts[7:2:-1]:
+            c.touch(t)  # reorder lru/lfu away from insertion order
+        for t in ts[1::3]:
+            c._state.lock(t)
+        return c, ts
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "lfu"])
+    def test_victims_match_full_prefilter(self, policy):
+        c, _ = self._filled(policy)
+        want = [t.name for t in c._victim_order()
+                if not c._state.locked(t)][:3]
+        c._state.queries.clear()
+        got = []
+        c.evict_for(10 * 1024, lambda t: got.append(t.name) or t.nbytes)
+        assert got == want
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "lfu"])
+    def test_locked_checks_bounded_by_walk(self, policy):
+        c, _ = self._filled(policy)
+        queries = c._state.queries
+        size = len(c)
+        victims = []
+        c.evict_for(10 * 1024, lambda t: victims.append(t) or t.nbytes)
+        assert len(victims) == 3
+        assert len(queries) == len(victims) + sum(queries)  # taken + skipped
+        assert len(queries) < size  # the walk stopped short of the map
+
+
 class TestBackwardFriendlyOrder:
     def test_backward_pattern_hits(self):
         """The paper's rationale: backward wants the most recently

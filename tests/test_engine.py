@@ -268,6 +268,28 @@ class TestConcurrentSessions:
         assert engine.mode_compile_count == 2
         assert train.route.forward_layers is infer.route.forward_layers
 
+    def test_workers_link_the_compiled_step_constants(self):
+        """Per-step constants are derived once, by the scout: a worker
+        links its closures over the compiled mode's records (a worker
+        on another device model derives its own)."""
+        from dataclasses import replace
+        from repro.core.plan import StepConstants
+        engine = Engine(lenet(batch=2, image=12),
+                        RuntimeConfig.superneurons(concrete=False))
+        cm = engine.compiled("train")
+        with engine.executor("train") as ex:
+            assert ex.step_constants() is cm.step_constants
+            ex.run_iteration(0)
+            steps = ex.iteration_plan.steps
+        assert len(steps) == len(cm.step_constants)
+        for cs, k in zip(steps, cm.step_constants):
+            for name in StepConstants.__slots__:
+                assert getattr(cs, name) is getattr(k, name), name
+        other = replace(engine.config.device, compute_tflops=1.2e12)
+        with repro.Executor(engine.net, replace(engine.config, device=other),
+                            compiled=cm) as ex:
+            assert ex.step_constants() is not cm.step_constants
+
     def test_engine_bound_compile_warms_requested_modes(self):
         """compile() on a worker must honor its docstring: the named
         modes get compiled on the shared engine, not skipped."""

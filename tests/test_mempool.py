@@ -98,6 +98,170 @@ class TestHeapPool:
         assert pool.used_bytes == used
 
 
+#: one op of a generated iteration: (is_alloc, blocks, free-slot pick)
+_OP = st.tuples(st.booleans(), st.integers(1, 64), st.integers(0, 63))
+_BASE = [3, 17, 5, 40]  # canonical "params" (blocks), allocated first
+
+
+def _base_pool() -> HeapPool:
+    pool = HeapPool(256 * KB)
+    for blocks in _BASE:
+        pool.alloc(blocks * KB)
+    return pool
+
+
+def _iteration(pool, ops, audit=False):
+    """One iteration of ``ops`` that gives back everything it took.
+
+    Returns ``(outcomes, calls)``: per op the ``(handle, byte offset,
+    bytes)`` granted, ``"oom"`` or ``"free"``; and the calls as issued
+    (``("a", blocks)`` or ``("f", handle)``)."""
+    live, outcomes, calls = [], [], []
+
+    def free(i):
+        h = live.pop(i)
+        calls.append(("f", h))
+        pool.free(h)
+        outcomes.append("free")
+
+    for is_alloc, blocks, pick in ops:
+        if is_alloc or not live:
+            calls.append(("a", blocks))
+            try:
+                h = pool.alloc(blocks * KB)
+            except PoolExhaustedError:
+                outcomes.append("oom")
+            else:
+                live.append(h)
+                outcomes.append((h, pool.addr_of(h), pool.size_of(h)))
+        else:
+            free(pick % len(live))
+        if audit:
+            pool.check_invariants()
+    while live:
+        free(0)
+    return outcomes, calls
+
+
+def _runs(pool):
+    return [(n.addr, n.blocks) for n in pool._free]
+
+
+def _perturb(ops, k, bump):
+    """``ops`` with op ``k`` changed: another size, or another free pick."""
+    is_alloc, blocks, pick = ops[k]
+    ops = list(ops)
+    ops[k] = (is_alloc, blocks % 64 + bump, pick + bump)
+    return ops
+
+
+class TestOpTape:
+    """The heap pool's op tape replays a recorded iteration in O(1) per
+    op and falls back to first-fit exactly at the first difference."""
+
+    @given(st.lists(_OP, min_size=1, max_size=50))
+    @settings(max_examples=80, deadline=None)
+    def test_replay_matches_live_pool(self, ops):
+        ref = _base_pool()
+        want, _ = _iteration(ref, ops)
+        pool = _base_pool()
+        for _ in range(3):  # record, then replay twice
+            pool.tape_begin()
+            got, _ = _iteration(pool, ops, audit=True)
+            pool.audit_tape()
+            pool.tape_end()
+            assert got == want  # handles, byte offsets and OOM points
+        assert (pool.tape_replays, pool.deopts) == (2, 0)
+        assert _runs(pool) == _runs(ref)
+        pool.check_invariants()
+
+    @given(st.lists(_OP, min_size=1, max_size=50), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_perturbed_replay_deopts_to_live_pool(self, ops, data):
+        k = data.draw(st.integers(0, len(ops) - 1), label="k")
+        bump = data.draw(st.integers(1, 3), label="bump")
+        changed = _perturb(ops, k, bump)
+        ref = _base_pool()
+        want, _ = _iteration(ref, changed)
+        pool = _base_pool()
+        pool.tape_begin()
+        _, recorded = _iteration(pool, ops)
+        pool.tape_end()
+        pool.tape_begin()
+        got, issued = _iteration(pool, changed, audit=True)
+        pool.audit_tape()
+        pool.tape_end()
+        # handles differ after a deopt (fresh ids); offsets and OOMs not
+        strip = lambda out: [o if isinstance(o, str) else o[1:] for o in out]
+        assert strip(got) == strip(want)
+        assert pool.deopts == (issued != recorded)
+        assert pool.tape_replays == (issued == recorded)
+        assert _runs(pool) == _runs(ref)
+        pool.check_invariants()
+
+    def test_queries_mid_replay_read_the_allocated_set(self):
+        ops = [(True, 8, 0), (True, 16, 0), (True, 8, 0), (False, 0, 1)]
+        ref = _base_pool()
+        pool = _base_pool()
+        pool.tape_begin()
+        _iteration(pool, ops)
+        pool.tape_end()
+        pool.tape_begin()
+        for p in (ref, pool):
+            hs = [p.alloc(b * KB) for b in (8, 16, 8)]
+            p.free(hs[1])
+        assert pool.largest_free_bytes == ref.largest_free_bytes
+        assert pool.fragmentation == ref.fragmentation > 0.0
+        pool.check_invariants()
+        assert pool.deopts == 0  # reads never leave the tape
+
+    def test_bracket_that_keeps_an_allocation_records_no_tape(self):
+        pool = _base_pool()
+        pool.tape_begin()
+        kept = pool.alloc(4 * KB)
+        pool.tape_end()
+        assert pool.tape_ops == 0
+        pool.free(kept)
+        pool.tape_begin()
+        _iteration(pool, [(True, 4, 0)])
+        pool.tape_end()
+        assert pool.tape_ops == 2
+
+    def test_replay_that_stops_short_deopts(self):
+        pool = _base_pool()
+        pool.tape_begin()
+        _iteration(pool, [(True, 8, 0), (True, 4, 0)])
+        pool.tape_end()
+        pool.tape_begin()
+        h = pool.alloc(8 * KB)  # then the bracket closes early
+        with pytest.raises(AssertionError, match="stopped at op 1 of 4"):
+            pool.audit_tape()
+        pool.tape_end()
+        assert (pool.tape_replays, pool.deopts, pool.tape_ops) == (0, 1, 0)
+        ref = _base_pool()
+        ref.alloc(8 * KB)
+        assert _runs(pool) == _runs(ref)
+        pool.free(h)
+        pool.check_invariants()
+
+    def test_drop_tape_mid_replay_stays_exact(self):
+        ops = [(True, 8, 0), (True, 16, 0), (False, 0, 0), (True, 4, 0)]
+        pool = _base_pool()
+        pool.tape_begin()
+        _iteration(pool, ops)
+        pool.tape_end()
+        pool.tape_begin()
+        h = pool.alloc(8 * KB)
+        pool.drop_tape()
+        assert pool.deopts == 1
+        pool.free(h)
+        pool.check_invariants()
+        assert _runs(pool) == _runs(_base_pool())
+        pool.tape_begin()  # no tape: records afresh
+        pool.tape_end()
+        assert pool.tape_replays == 0
+
+
 class TestAllocators:
     def _mk(self, capacity=64 * MB):
         gpu = SimulatedGPU(DeviceModel(dram_bytes=capacity))

@@ -15,7 +15,9 @@ import pytest
 
 from repro import Executor, RuntimeConfig, SGD, Session, Trainer
 from repro.core.policy import MemoryPolicy
+from repro.mempool import HeapPool
 from repro.zoo import alexnet, lenet
+from repro.zoo.resnet import resnet_from_units
 
 ITERS = 5
 
@@ -131,6 +133,77 @@ class TestReplayEquivalence:
             assert ex.replayed_iterations == 1
             ex.run_iteration(3)  # replays the recompiled plan
             assert ex.replayed_iterations == 2
+
+
+class TestHeapPoolTape:
+    """Replayed iterations answer the heap pool from the op tape the
+    first replayed iteration recorded; executors that never replay
+    never touch it."""
+
+    @staticmethod
+    def _tight():
+        """A small resnet at 60% of its roomy activation peak: the cache
+        evicts, and first-fit OOMs drive the pressure cascade."""
+        mk = lambda: resnet_from_units((1, 1, 1, 1), batch=4, image=64,
+                                       num_classes=10)
+        with Executor(mk(), RuntimeConfig.superneurons(concrete=False)) as p:
+            roomy = p.run_iteration(0)
+            cap = p.param_bytes + int(roomy.activation_peak_bytes * 0.6)
+        return mk, cap
+
+    def test_tape_under_pressure_replays_bit_identically(self):
+        mk, cap = self._tight()
+        fresh, _ = run_dicts(mk, RuntimeConfig.superneurons(
+            gpu_capacity=cap, steady_state_replay=False), iters=4)
+        with Executor(mk(), RuntimeConfig.superneurons(gpu_capacity=cap)) \
+                as ex:
+            opt = SGD(lr=0.05)
+            replay = [ex.run_iteration(i, optimizer=opt).to_dict()
+                      for i in range(4)]
+            heap = ex._heap
+            tape = heap._tape
+        assert replay == fresh
+        assert all(r["cache"]["evictions"] > 0 for r in replay)
+        # iteration 0 records the plan, 1 records the tape, 2-3 replay it
+        assert (heap.tape_replays, heap.deopts) == (2, 0)
+        assert any(need and got is None for need, got in tape)  # OOMs
+
+    def test_replay_off_never_records(self):
+        mk, cap = self._tight()
+        cfg = RuntimeConfig.superneurons(concrete=False, gpu_capacity=cap,
+                                         steady_state_replay=False)
+        with Executor(mk(), cfg) as ex:
+            for i in range(3):
+                ex.run_iteration(i)
+            heap = ex._heap
+            assert heap._recording is None and heap.tape_ops == 0
+            assert (heap.tape_replays, heap.deopts) == (0, 0)
+
+    def test_invalidate_plan_drops_the_tape(self):
+        with Executor(lenet(batch=2, image=12),
+                      RuntimeConfig.superneurons()) as ex:
+            heap = ex._heap
+            for i in range(3):
+                ex.run_iteration(i)
+            assert heap.tape_ops > 0 and heap.tape_replays == 1
+            ex.invalidate_plan()
+            assert heap.tape_ops == 0
+            for i in range(3, 6):  # fresh, record, replay
+                ex.run_iteration(i)
+            assert (heap.tape_replays, heap.deopts) == (2, 0)
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_validation_arms_the_end_of_iteration_audit(
+            self, validate, monkeypatch):
+        audits = []
+        real = HeapPool.audit_tape
+        monkeypatch.setattr(HeapPool, "audit_tape",
+                            lambda pool: audits.append(1) or real(pool))
+        cfg = RuntimeConfig.superneurons(validate_state=validate)
+        with Executor(lenet(batch=2, image=12), cfg) as ex:
+            for i in range(3):
+                ex.run_iteration(i)
+        assert len(audits) == (2 if validate else 0)  # replayed only
 
 
 class TestReplayOptOut:
